@@ -2,13 +2,15 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet staticcheck ndplint ownership bench benchdiff
+.PHONY: build test race lint vet staticcheck ndplint bench benchdiff
 
 build:
 	$(GO) build ./...
 
+# perfbench is a separate module, so ./... does not reach it.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 race:
 	$(GO) test -race ./...
@@ -16,6 +18,7 @@ race:
 # lint mirrors the CI lint + ndplint jobs. staticcheck is skipped with a
 # notice when not installed (hermetic environments cannot fetch it).
 lint: vet staticcheck ndplint
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt needed on the files above"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -33,13 +36,6 @@ staticcheck:
 
 ndplint:
 	$(GO) run ./cmd/ndplint ./...
-
-# ownership regenerates the committed shardcheck artifacts after a
-# legitimate change to the sharding surface (new seam, new domain member).
-# The cmd/ndplint golden tests gate that these stay in sync with the tree.
-ownership:
-	$(GO) run ./cmd/ndplint -ownership-report ./... > results/ownership.json
-	$(GO) run ./cmd/ndplint -list-suppressions ./... > results/golden/ndplint-suppressions.txt
 
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 100x -benchmem -run xxx ./internal/sim/

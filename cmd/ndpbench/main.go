@@ -3,7 +3,7 @@
 //
 //	ndpbench                  # every experiment at full scale (slow)
 //	ndpbench -exp fig10       # one experiment
-//	ndpbench -exp fig14a -small
+//	ndpbench -exp fig14a -scale small
 //	ndpbench -j 8             # eight simulations in flight at once
 //	ndpbench -benchjson results/bench.json
 //	ndpbench -metrics results/  # per-experiment instrument metrics JSON
@@ -115,7 +115,6 @@ func main() {
 	}
 	var (
 		exp       = flag.String("exp", "", "comma-separated experiments to run (default: all)")
-		small     = flag.Bool("small", false, "run test-sized systems and workloads")
 		scale     = flag.String("scale", "", "workload scale: full (paper-sized), medium, small")
 		csvDir    = flag.String("csv", "", "also write each experiment's table as <dir>/<name>.csv")
 		jobsN     = flag.Int("j", 0, "simulations to run concurrently (0 = one per CPU, 1 = sequential)")
@@ -125,7 +124,6 @@ func main() {
 		pprofMem  = flag.String("pprof-mem", "", "write a heap profile at the end of the run to this file")
 		progress  = flag.Bool("progress", false, "print a periodic progress heartbeat to stderr")
 		ckptDir   = flag.String("ckpt-dir", "", "persist every completed simulation to this directory so a rerun resumes instead of recomputing")
-		resumeDir = flag.String("resume-dir", "", "alias for -ckpt-dir, for resuming a killed campaign")
 		auditOn   = flag.Bool("audit", false, "run the invariant auditor inside every simulation; violations fail the experiment")
 		compare   = flag.Bool("compare", false, "benchdiff mode: ndpbench -compare old.json new.json prints per-experiment events/sec deltas and exits 1 on regression beyond -compare-threshold")
 		compareTh = flag.Float64("compare-threshold", defaultRegressionThreshold, "relative events/sec drop treated as a regression by -compare (0.10 = 10%)")
@@ -147,9 +145,6 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 	experiments.SetJobs(*jobsN)
-	if *resumeDir != "" {
-		*ckptDir = *resumeDir
-	}
 	if *ckptDir != "" {
 		experiments.SetCheckpointDir(*ckptDir)
 	}
@@ -194,10 +189,6 @@ func main() {
 
 	sc := experiments.Full
 	scName := "full"
-	if *small {
-		sc = experiments.Small
-		scName = "small"
-	}
 	switch *scale {
 	case "", "full":
 	case "medium":

@@ -7,65 +7,27 @@ import (
 	"testing"
 
 	"ndpbridge/internal/lint/load"
-	"ndpbridge/internal/lint/shardcheck"
 )
 
 // repoRoot resolves the module root (two levels above cmd/ndplint) and
-// re-anchors the process and the path-rendering base there, so the golden
-// comparisons see the same repo-relative paths the committed files carry.
+// re-anchors the path-rendering base there, so the golden comparison sees the
+// same repo-relative paths the committed file carries. The loader runs go list
+// in the directory it is given, so the process working directory can stay put.
 func repoRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Chdir(root)
 	old := cwd
 	cwd = root
 	t.Cleanup(func() { cwd = old })
 	return root
 }
 
-// TestOwnershipGoldenReproduces asserts that re-deriving the shardcheck
-// ownership model over the tree reproduces the committed
-// results/ownership.json byte-for-byte. When the sharding surface changes
-// legitimately, regenerate with:
-//
-//	go run ./cmd/ndplint -ownership-report ./... > results/ownership.json
-func TestOwnershipGoldenReproduces(t *testing.T) {
-	root := repoRoot(t)
-
-	pkgs, err := load.Packages(root, "./...")
-	if err != nil {
-		t.Fatalf("loading packages: %v", err)
-	}
-	model, diags := shardcheck.Analyze(unitsOf(pkgs))
-	if len(diags) != 0 {
-		for _, d := range diags {
-			pos := d.Unit.Fset.Position(d.Pos)
-			t.Errorf("unexpected shardcheck finding at %s:%d: %s", pos.Filename, pos.Line, d.Message)
-		}
-		t.Fatal("the tree must be shardcheck-clean before the golden comparison means anything")
-	}
-
-	got, err := model.Encode()
-	if err != nil {
-		t.Fatalf("encoding model: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join(root, "results", "ownership.json"))
-	if err != nil {
-		t.Fatalf("reading golden: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("ownership model drifted from results/ownership.json\n"+
-			"regenerate with: go run ./cmd/ndplint -ownership-report ./... > results/ownership.json\n"+
-			"got %d bytes, want %d bytes", len(got), len(want))
-	}
-}
-
 // TestSuppressionInventoryGolden asserts the audited-suppression inventory
-// matches the committed golden file, so every new suppression or ownership
-// directive shows up as a reviewable diff. Regenerate with:
+// matches the committed golden file, so every new suppression shows up as a
+// reviewable diff. Regenerate with:
 //
 //	go run ./cmd/ndplint -list-suppressions ./... > results/golden/ndplint-suppressions.txt
 func TestSuppressionInventoryGolden(t *testing.T) {

@@ -17,13 +17,8 @@
 //
 //	-cache DIR           replay cached findings for packages whose sources
 //	                     and dependency export data are unchanged
-//	-list-suppressions   print every //ndplint: suppression (plus the
-//	                     domain/seam ownership declarations) with its
+//	-list-suppressions   print every //ndplint: suppression with its
 //	                     justification instead of analyzing
-//	-ownership-report    print the shardcheck ownership model (domains,
-//	                     members, seams, cross-domain edges) as JSON
-//	                     instead of analyzing; results/ownership.json is
-//	                     the committed form
 //	-json                emit findings as a JSON array
 //
 // The suite runs on the standard library alone (see internal/lint): the
@@ -49,7 +44,6 @@ import (
 	"ndpbridge/internal/lint/hotpath"
 	"ndpbridge/internal/lint/load"
 	"ndpbridge/internal/lint/nilmetrics"
-	"ndpbridge/internal/lint/shardcheck"
 	"ndpbridge/internal/lint/snapcover"
 )
 
@@ -59,12 +53,6 @@ var analyzers = []*analysis.Analyzer{
 	hotpath.Analyzer,
 	nilmetrics.Analyzer,
 	directive.Analyzer,
-}
-
-// globalAnalyzers run once over every loaded package together; their
-// findings cache on the whole load, not per package.
-var globalAnalyzers = []*analysis.GlobalAnalyzer{
-	shardcheck.Analyzer,
 }
 
 // cwd anchors diagnostic paths: findings and the suppression inventory
@@ -84,7 +72,6 @@ func main() {
 	cacheDir := flag.String("cache", "", "directory for the analysis fact cache (empty: no caching)")
 	asJSON := flag.Bool("json", false, "emit findings as JSON")
 	listSup := flag.Bool("list-suppressions", false, "list every ndplint suppression with its justification")
-	ownership := flag.Bool("ownership-report", false, "print the shardcheck ownership model as JSON")
 	flag.Parse()
 
 	patterns := flag.Args()
@@ -103,17 +90,6 @@ func main() {
 		return
 	}
 
-	if *ownership {
-		model, _ := shardcheck.Analyze(unitsOf(pkgs))
-		b, err := model.Encode()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndplint:", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(b)
-		return
-	}
-
 	var all []finding
 	for _, pkg := range pkgs {
 		fs, err := analyzePkg(pkg, *cacheDir)
@@ -123,12 +99,6 @@ func main() {
 		}
 		all = append(all, fs...)
 	}
-	gfs, err := analyzeGlobal(pkgs, *cacheDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ndplint:", err)
-		os.Exit(2)
-	}
-	all = append(all, gfs...)
 
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -214,76 +184,6 @@ func analyzePkg(pkg *load.Package, cacheDir string) (fs []finding, err error) {
 	return fs, nil
 }
 
-// unitsOf adapts loaded packages to the global-analyzer input.
-func unitsOf(pkgs []*load.Package) []*analysis.Unit {
-	units := make([]*analysis.Unit, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		units = append(units, &analysis.Unit{
-			Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info,
-		})
-	}
-	return units
-}
-
-// analyzeGlobal runs the whole-program analyzers over every loaded package,
-// consulting the fact cache first. The cache key covers every package's
-// fingerprint: a change anywhere invalidates the global findings.
-func analyzeGlobal(pkgs []*load.Package, cacheDir string) (fs []finding, err error) {
-	var cachePath string
-	if cacheDir != "" {
-		cachePath = filepath.Join(cacheDir, globalCacheKey(pkgs)+".json")
-		if b, err := os.ReadFile(cachePath); err == nil {
-			var fs []finding
-			if json.Unmarshal(b, &fs) == nil {
-				return fs, nil
-			}
-		}
-	}
-
-	fs = []finding{}
-	units := unitsOf(pkgs)
-	for _, a := range globalAnalyzers {
-		pass := &analysis.GlobalPass{Analyzer: a, Units: units}
-		pass.Report = func(u *analysis.Unit, d analysis.Diagnostic) {
-			pos := u.Fset.Position(d.Pos)
-			file := pos.Filename
-			if rel, err := filepath.Rel(cwd, file); err == nil && len(rel) < len(file) {
-				file = rel
-			}
-			fs = append(fs, finding{
-				File: file, Line: pos.Line, Col: pos.Column,
-				Analyzer: a.Name, Message: d.Message,
-			})
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %v", a.Name, err)
-		}
-	}
-
-	if cachePath != "" {
-		if err := os.MkdirAll(cacheDir, 0o755); err == nil {
-			if b, err := json.Marshal(fs); err == nil {
-				_ = os.WriteFile(cachePath, b, 0o644)
-			}
-		}
-	}
-	return fs, nil
-}
-
-// globalCacheKey crosses every loaded package's fingerprint with the
-// toolchain and global-analyzer versions.
-func globalCacheKey(pkgs []*load.Package) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "go %s\n", runtime.Version())
-	for _, a := range globalAnalyzers {
-		fmt.Fprintf(h, "global %s v%d\n", a.Name, a.Version)
-	}
-	for _, pkg := range pkgs {
-		fmt.Fprintf(h, "pkg %s %s\n", pkg.PkgPath, pkg.Fingerprint)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
 // cacheKey derives the fact-cache key for one package: its content
 // fingerprint (own sources + dependency export data) crossed with the
 // toolchain and the analyzer suite's versions.
@@ -297,26 +197,20 @@ func cacheKey(pkg *load.Package) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// listSuppressions prints the audited-suppression inventory: every
-// suppression plus the ownership declarations (domain, seam), which widen
-// checked surfaces and are review-worthy state in the same way.
+// listSuppressions prints the audited-suppression inventory.
 func listSuppressions(pkgs []*load.Package, w io.Writer) {
 	n := 0
 	for _, pkg := range pkgs {
 		m := directive.Parse(pkg.Fset, pkg.Files)
 		for _, d := range m.All() {
-			if !d.Listed() {
+			if d.IsTag() {
 				continue
 			}
 			file := d.File
 			if rel, err := filepath.Rel(cwd, file); err == nil && len(rel) < len(file) {
 				file = rel
 			}
-			line := fmt.Sprintf("%s:%d: //ndplint:%s", file, d.Line, d.Display())
-			if d.Justification != "" {
-				line += " " + d.Justification
-			}
-			fmt.Fprintln(w, line)
+			fmt.Fprintf(w, "%s:%d: //ndplint:%s %s\n", file, d.Line, d.Verb, d.Justification)
 			n++
 		}
 	}

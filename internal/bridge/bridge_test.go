@@ -49,7 +49,7 @@ func (e *testEnv) TaskDone(uint32)          { e.done++ }
 func (e *testEnv) MsgStaged()               { e.inflight++ }
 func (e *testEnv) MsgDelivered()            { e.inflight-- }
 func (e *testEnv) Trace() *trace.Recorder   { return nil }
-func (e *testEnv) MsgPool() *msg.Pool        { return nil }
+func (e *testEnv) MsgPool() *msg.Pool       { return nil }
 
 // build wires one rank's units and its level-1 bridge.
 func build(t *testing.T, env *testEnv, rank int) ([]*ndpunit.Unit, *Level1) {

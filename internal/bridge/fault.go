@@ -67,7 +67,6 @@ type faultL1 struct {
 // EnableFaults attaches the injector's hop streams for this rank and, when
 // retry is set, arms the bridge's retry-protocol endpoints. lost is the
 // terminal-loss hook of the recovery runtime.
-//ndplint:seam fault-campaign control plane wired before the clock starts
 func (b *Level1) EnableFaults(inj *fault.Injector, retry bool, lost func(*msg.Message)) {
 	cfg := b.cfg
 	fi := &faultL1{
@@ -97,12 +96,10 @@ func (b *Level1) EnableFaults(inj *fault.Injector, retry bool, lost func(*msg.Me
 }
 
 // Kick revives the bridge's bus loop (recovery runtime hook).
-//ndplint:seam recovery hook: coordinator wakes the rank after fault recovery
 func (b *Level1) Kick() { b.ensureLoop() }
 
 // InjectOverflow adds phantom backlog to the backup buffer, tripping the
 // gather-pause backpressure threshold.
-//ndplint:seam fault hook: coordinator injects buffer overflow at a plan point
 func (b *Level1) InjectOverflow(bytes uint64) {
 	if b.fi != nil {
 		b.fi.extraBackup += bytes
@@ -110,7 +107,6 @@ func (b *Level1) InjectOverflow(bytes uint64) {
 }
 
 // ClearOverflow removes previously injected phantom backlog.
-//ndplint:seam fault hook: coordinator clears injected overflow at a plan point
 func (b *Level1) ClearOverflow(bytes uint64) {
 	if b.fi == nil {
 		return
@@ -124,7 +120,6 @@ func (b *Level1) ClearOverflow(bytes uint64) {
 
 // GatherIn is the gather-hop wire entry for unit retransmissions: the
 // message crosses the hop (faults apply) and re-enters the router.
-//ndplint:seam partition boundary: upward gather entry from child units
 func (b *Level1) GatherIn(child int, m *msg.Message) {
 	b.gatherIn(b.localIndex(child), m)
 }
@@ -188,7 +183,6 @@ func (b *Level1) ScatterAck(child int, seq uint32) {
 }
 
 // ScatterNack triggers an immediate retransmission of a corrupted scatter.
-//ndplint:seam retry protocol: child unit bounces a scattered message back
 func (b *Level1) ScatterNack(child int, seq uint32) {
 	if b.fi != nil && b.fi.scatterRet != nil {
 		b.fi.scatterRet[b.localIndex(child)].Nack(seq)
@@ -204,7 +198,6 @@ func (b *Level1) AckUp(seq uint32) {
 }
 
 // NackUp triggers an immediate retransmission of a corrupted up message.
-//ndplint:seam retry protocol: channel bridge bounces an upward message back
 func (b *Level1) NackUp(seq uint32) {
 	if b.fi != nil && b.fi.upRet != nil {
 		b.fi.upRet.Nack(seq)
@@ -224,7 +217,6 @@ func (b *Level1) MarkGathered(child int, seq uint32) {
 // can no longer complete: unacked scatter messages (gated against copies
 // still in flight), the child's parked scatter buffer, and backup-buffer
 // entries addressed to it. The caller resolves them terminally.
-//ndplint:seam fault hook: coordinator drains a killed unit in-flight state at a barrier
 func (b *Level1) KillChild(child int) []*msg.Message {
 	if b.fi == nil {
 		return nil
@@ -315,7 +307,6 @@ type faultL2 struct {
 
 // EnableFaults attaches the injector's up-hop streams and, when retry is
 // set, the level-2 ends of the up/down retry protocol.
-//ndplint:seam fault-campaign control plane wired before the clock starts
 func (l *Level2) EnableFaults(inj *fault.Injector, retry bool) {
 	cfg := l.cfg
 	fi := &faultL2{upHop: make([]*fault.Hop, len(l.bridges))}
@@ -350,7 +341,6 @@ func (l *Level2) AckDown(rank int, seq uint32) {
 }
 
 // NackDown triggers an immediate retransmission of a corrupted down message.
-//ndplint:seam retry protocol: rank bridge bounces a downward message back
 func (l *Level2) NackDown(rank int, seq uint32) {
 	if l.fi != nil && l.fi.downRet != nil {
 		l.fi.downRet[rank].Nack(seq)

@@ -44,7 +44,6 @@ type Stats struct {
 const stateMsgBytes = 36
 
 // Level1 is a rank-level bridge (Figure 4(a)).
-//ndplint:domain(bridge-l1)
 type Level1 struct {
 	rank int
 	env  Env //ndplint:nosnap simulation wiring, rebound at construction
@@ -113,8 +112,6 @@ type Level1 struct {
 
 // BindMetrics attaches the bridge's instruments to reg. All level-1 bridges
 // of one run bind the same named instruments (system-wide distributions).
-//ndplint:seam metrics wiring before the clock starts
-//ndplint:seam metrics wiring before the clock starts
 func (b *Level1) BindMetrics(reg *metrics.Registry) {
 	b.mGather = reg.Histogram("gather_batch_bytes")
 	b.mScatter = reg.Histogram("scatter_batch_bytes")
@@ -137,7 +134,6 @@ func (b *Level1) ScatterBacklog() uint64 {
 	return n
 }
 
-//ndplint:domain(perowner)
 type assignState struct {
 	receivers []int
 	next      int
@@ -146,7 +142,6 @@ type assignState struct {
 }
 
 // schedKey identifies one load-balancing round at one giver.
-//ndplint:domain(perowner)
 type schedKey struct {
 	giver int
 	round uint32
@@ -193,8 +188,6 @@ func NewLevel1(rank int, env Env, children []*ndpunit.Unit, rng *sim.RNG) *Level
 }
 
 // SetUp connects the level-2 bridge.
-//ndplint:seam construction-time wiring to the channel bridge
-//ndplint:seam construction-time wiring to the channel bridge
 func (b *Level1) SetUp(up upLevel) { b.up = up }
 
 // Rank returns the bridge's global rank index.
@@ -204,8 +197,6 @@ func (b *Level1) Rank() int { return b.rank }
 func (b *Level1) Stats() Stats { return b.st }
 
 // Start begins the periodic state sweeps. Call once at simulation start.
-//ndplint:seam run start: arms the sweep and step loops before the clock advances
-//ndplint:seam run start: arms the sweep and step loops before the clock advances
 func (b *Level1) Start() {
 	b.eng.After(b.cfg.IState, b.sweepFn)
 	if b.cfg.Trigger != config.TriggerDynamic {
@@ -323,7 +314,6 @@ func (b *Level1) newRound() uint32 {
 // this rank, tagged with the level-2 round. The bridge splits the budget
 // across its busiest children; their scheduled-out messages route up instead
 // of to local receivers.
-//ndplint:seam partition boundary: channel-level command budget grant
 func (b *Level1) CommandScheduleRank(budget uint64, round uint32) {
 	type cand struct {
 		idx int
@@ -748,7 +738,6 @@ func (b *Level1) insertBorrowed(blk uint64, receiver int) {
 // AcceptFromUp receives a message scattered down by the level-2 bridge. The
 // message first crosses the (possibly faulty) down hop, then the bridge-side
 // retry receiver verifies, acks, and dedups it before routing.
-//ndplint:seam partition boundary: downward delivery entry from the channel bridge
 func (b *Level1) AcceptFromUp(m *msg.Message) {
 	if b.fi != nil {
 		if h := b.fi.downHop; h != nil {
@@ -918,7 +907,6 @@ func (b *Level1) BorrowedEntry(blk uint64) (int, bool) {
 // ForceReturnBlock back-invalidates a cross-rank lend: the level-2 bridge
 // evicted its table entry, so the borrowing unit under this bridge must
 // return the block to keep the hierarchy inclusive.
-//ndplint:seam retry protocol: channel forces return of a borrowed block
 func (b *Level1) ForceReturnBlock(blk uint64) {
 	if r, ok := b.borrowed.Lookup(blk); ok {
 		b.borrowed.Remove(blk)
@@ -935,7 +923,6 @@ func (b *Level1) UpPending() uint64 { return b.upMail.Used() }
 // DrainUp removes up to budget bytes of up-bound messages. With retry armed,
 // messages are stamped and tracked on their way out; a full retransmit
 // buffer refuses the drain until acks free space.
-//ndplint:seam partition boundary: channel bridge pulls the rank upward queue
 func (b *Level1) DrainUp(budget uint64) []*msg.Message {
 	if b.fi != nil && b.fi.upRet != nil && b.fi.upRet.Full() {
 		b.env.Trace().Span(0, 0, trace.SpanBlocked, trace.CatRetry, -1, b.eng.Now(), b.eng.Now())

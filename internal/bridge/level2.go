@@ -17,15 +17,14 @@ import (
 // assigning receiver ranks during cross-rank load balancing — and scatters
 // them down the destination rank's channel. Each transfer occupies the
 // channel link and pays a fixed host software overhead per batch.
-//ndplint:domain(bridge-l2)
 type Level2 struct {
 	env Env //ndplint:nosnap simulation wiring, rebound at construction
 	// eng/cfg cache env.Engine()/env.Cfg() — both stable for the system's
 	// lifetime — so hot paths skip the interface dispatch.
 	eng     *sim.Engine    //ndplint:nosnap cached wiring, set at construction
 	cfg     *config.Config //ndplint:nosnap cached wiring, set at construction
-	bridges []*Level1   //ndplint:nosnap topology from config; bridges snapshot themselves
-	links   []*sim.Link //ndplint:nosnap channel wiring from config; link busy-state is replayed
+	bridges []*Level1      //ndplint:nosnap topology from config; bridges snapshot themselves
+	links   []*sim.Link    //ndplint:nosnap channel wiring from config; link busy-state is replayed
 
 	// borrowed maps block address → receiver rank for cross-rank lends.
 	borrowed *metadata.Borrowed
@@ -45,9 +44,9 @@ type Level2 struct {
 	// Per-channel pre-bound callbacks and reused batch buffers. One batch
 	// is in flight per channel (running[ch]), so the buffers are safe to
 	// recycle between finishBatch and the next step.
-	chRanks   [][]int  //ndplint:nosnap topology constant from config
-	stepFns   []func() //ndplint:nosnap wiring, rebound at construction
-	finishFns []func() //ndplint:nosnap wiring, rebound at construction
+	chRanks   [][]int        //ndplint:nosnap topology constant from config
+	stepFns   []func()       //ndplint:nosnap wiring, rebound at construction
+	finishFns []func()       //ndplint:nosnap wiring, rebound at construction
 	batchDown [][]l2Delivery //ndplint:nosnap in flight only while the channel link is busy
 	batchUp   [][]l2Delivery //ndplint:nosnap in flight only while the channel link is busy
 
@@ -63,7 +62,6 @@ type Level2 struct {
 }
 
 // BindMetrics attaches the level-2 bridge's instruments to reg.
-//ndplint:seam metrics wiring before the clock starts
 func (l *Level2) BindMetrics(reg *metrics.Registry) {
 	l.mBatch = reg.Histogram("l2_batch_bytes")
 	l.mLBBudget = reg.Histogram("l2_lb_budget_workload")
@@ -146,12 +144,10 @@ func (l *Level2) Start() {
 }
 
 // RankAllIdle implements upLevel: a level-1 bridge reports a starved rank.
-//ndplint:seam partition boundary: rank idle vote feeding the channel sweep
 func (l *Level2) RankAllIdle(rank int) { l.idle[rank] = true }
 
 // KickChannel implements upLevel: new up-bound traffic exists on rank's
 // transport group.
-//ndplint:seam partition boundary: rank bridge wakes the channel step loop
 func (l *Level2) KickChannel(rank int) {
 	l.ensureLoop(l.groupOf(rank))
 }

@@ -37,7 +37,6 @@ const (
 )
 
 // Checkpoint is the decoded content of a checkpoint file.
-//ndplint:domain(xfer)
 type Checkpoint struct {
 	App       string
 	CfgJSON   []byte

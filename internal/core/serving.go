@@ -59,7 +59,6 @@ func (s *System) ServingSource() *traffic.Source {
 // ServingApp is the open-loop serving application: a kvstore-style GET over
 // the traffic source's Zipfian keyspace. Run it on a system that has a
 // source attached via AttachTraffic.
-//ndplint:domain(host)
 type ServingApp struct{}
 
 // Name identifies serving runs; results and checkpoints carry the traffic
@@ -68,7 +67,6 @@ func (ServingApp) Name() string { return "serve" }
 
 // Prepare lays the shard table out across units, registers the GET handler,
 // and arms the arrival pump.
-//ndplint:seam host-side wiring: registers the serve handler that executes in unit context
 func (ServingApp) Prepare(s *System) error {
 	sv := s.serve
 	if sv == nil {
@@ -113,7 +111,6 @@ func (ServingApp) Prepare(s *System) error {
 // SeedEpoch seeds nothing: work arrives from the pump. Returning true keeps
 // the runtime alive while the source still has arrivals or queued requests;
 // termination is decided at the barrier by servingAdvance.
-//ndplint:seam host work injection at a paced quiet point
 func (ServingApp) SeedEpoch(s *System, ts uint32) bool {
 	return !s.serve.src.Done()
 }

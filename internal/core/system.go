@@ -41,7 +41,6 @@ type App interface {
 
 // System is one configured simulation instance. Build with New, run with
 // Run; a System is single-use.
-//ndplint:domain(engine)
 type System struct {
 	cfg  config.Config
 	eng  *sim.Engine
@@ -66,7 +65,6 @@ type System struct {
 
 	seededAny bool
 	maxEvents uint64
-	taskTrace func(now uint64)
 	rec       *trace.Recorder
 
 	met        *metrics.Registry
@@ -187,14 +185,12 @@ func (s *System) Registry() *task.Registry { return s.reg }
 func (s *System) CurrentEpoch() uint32 { return s.epoch }
 
 // TaskSpawned records a newly created task of epoch ts.
-//ndplint:seam bulk-sync epoch accounting: unit-reported conservation counters gate the barrier
 func (s *System) TaskSpawned(ts uint32) {
 	s.outstanding[ts]++
 	s.tasksSpawnedTotal++
 }
 
 // NextTaskID returns a run-unique task identifier (never 0).
-//ndplint:seam bulk-sync epoch accounting: unit-reported conservation counters gate the barrier
 func (s *System) NextTaskID() uint64 {
 	s.taskID++
 	return s.taskID
@@ -202,7 +198,6 @@ func (s *System) NextTaskID() uint64 {
 
 // TaskDone records a completed task and advances the epoch when the current
 // one drains.
-//ndplint:seam bulk-sync epoch accounting: unit-reported conservation counters gate the barrier
 func (s *System) TaskDone(ts uint32) {
 	if s.outstanding[ts] == 0 {
 		panic(fmt.Sprintf("core: TaskDone(%d) without outstanding task", ts))
@@ -210,21 +205,16 @@ func (s *System) TaskDone(ts uint32) {
 	s.outstanding[ts]--
 	s.tasksDoneTotal++
 	s.progress++
-	if s.taskTrace != nil {
-		s.taskTrace(s.eng.Now())
-	}
 	s.checkAdvance()
 }
 
 // MsgStaged records a message entering flight.
-//ndplint:seam bulk-sync epoch accounting: unit-reported conservation counters gate the barrier
 func (s *System) MsgStaged() {
 	s.inflight++
 	s.msgsStagedTotal++
 }
 
 // MsgDelivered records a message leaving flight.
-//ndplint:seam bulk-sync epoch accounting: unit-reported conservation counters gate the barrier
 func (s *System) MsgDelivered() {
 	if s.inflight == 0 {
 		panic("core: MsgDelivered without inflight message")
@@ -320,15 +310,8 @@ func (s *System) DataBytesPerUnit() uint64 {
 // generation in Prepare).
 func (s *System) Rand() *sim.RNG { return s.rng }
 
-// SetMaxEvents overrides the default event budget (livelock guard).
-func (s *System) SetMaxEvents(n uint64) { s.maxEvents = n }
-
 // MaxEvents returns the event budget (for progress/ETA reporting).
 func (s *System) MaxEvents() uint64 { return s.maxEvents }
-
-// SetTaskTrace installs a callback invoked at every task completion with the
-// completion cycle — a profiling hook for tests and tools.
-func (s *System) SetTaskTrace(fn func(now uint64)) { s.taskTrace = fn }
 
 // AttachTrace installs an activity recorder. Attach before Run. If a metrics
 // registry is already attached, the recorder's per-category wait histograms

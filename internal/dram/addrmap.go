@@ -23,7 +23,6 @@ type Addr = uint64
 type UnitID = int
 
 // AddrMap translates between addresses, units, and DRAM coordinates.
-//ndplint:domain(shared-ro)
 type AddrMap struct {
 	geo       config.Geometry
 	bankShift uint // log2(BankBytes)
@@ -79,7 +78,6 @@ func (m *AddrMap) HomeRaw(a Addr) UnitID {
 // Rehome redirects every address homed at dead to buddy. Chains are
 // flattened: if a previously dead unit pointed at dead, it now points at
 // buddy too, so lookups stay O(1).
-//ndplint:seam fault-recovery rehoming hook; runs at a barrier on a quiesced fabric
 func (m *AddrMap) Rehome(dead, buddy UnitID) {
 	if dead < 0 || dead >= m.units || buddy < 0 || buddy >= m.units {
 		panic(fmt.Sprintf("dram: Rehome(%d, %d) out of range", dead, buddy))
@@ -117,7 +115,6 @@ func (m *AddrMap) Base(u UnitID) Addr {
 }
 
 // Coord is the DRAM location of a unit.
-//ndplint:domain(xfer)
 type Coord struct {
 	Channel, Rank, Chip, Bank int
 }

@@ -23,7 +23,6 @@ const (
 // arbiter. Accesses may come from the local NDP core or from the upper-level
 // bridge; the arbiter (Section V-A) serializes them in arrival order, which
 // the simulator realizes by reserving the bank timeline.
-//ndplint:domain(bank)
 type Bank struct {
 	timing   config.Timing //ndplint:nosnap timing constants from config
 	rowBytes uint64        //ndplint:nosnap geometry constant from config

@@ -51,9 +51,6 @@ func Cancel() { canceled.Store(true) }
 // Canceled reports whether Cancel has been called.
 func Canceled() bool { return canceled.Load() }
 
-// ResetCancel re-arms the pool after a cancellation (tests only).
-func ResetCancel() { canceled.Store(false) }
-
 // parMap runs fn for every index in [0, n) on a pool of Jobs() workers and
 // returns the results in index order. On error it returns the error with
 // the lowest index (deterministic first-error semantics, matching what a

@@ -70,49 +70,3 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 }
-
-// Unit is one type-checked package as seen by a whole-program analyzer: the
-// same data a Pass carries, minus the per-package reporting wiring. Each Unit
-// keeps its own FileSet (the loader type-checks packages independently), so
-// positions must be resolved against the owning Unit.
-type Unit struct {
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-}
-
-// GlobalAnalyzer describes one whole-program static check: unlike an
-// Analyzer, its Run sees every loaded package at once. Shardcheck's ownership
-// analysis is global by nature — a domain declared in ndpunit must govern
-// writes reaching it from core — so it cannot run package-at-a-time.
-type GlobalAnalyzer struct {
-	// Name identifies the analyzer in diagnostics and caching keys.
-	Name string
-
-	// Doc is the help text: first line is a one-sentence summary.
-	Doc string
-
-	// Version participates in the fact-cache key: bump it when the
-	// analyzer's behavior changes so stale cached findings are discarded.
-	Version int
-
-	// Run applies the analyzer to the whole program, reporting findings
-	// through pass.Report.
-	Run func(pass *GlobalPass) error
-}
-
-// GlobalPass connects a GlobalAnalyzer to every package being analyzed.
-type GlobalPass struct {
-	Analyzer *GlobalAnalyzer
-	Units    []*Unit
-
-	// Report delivers one finding; d.Pos is resolved against u.Fset. The
-	// driver sets it.
-	Report func(u *Unit, d Diagnostic)
-}
-
-// Reportf reports a formatted diagnostic at pos within unit u.
-func (p *GlobalPass) Reportf(u *Unit, pos token.Pos, format string, args ...any) {
-	p.Report(u, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}

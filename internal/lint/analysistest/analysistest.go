@@ -70,49 +70,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	}
 }
 
-// RunGlobal loads one fixture package per dir, applies the whole-program
-// analyzer a over all of them at once, and reports any mismatch between
-// produced diagnostics and want comments via t.
-func RunGlobal(t *testing.T, a *analysis.GlobalAnalyzer, dirs ...string) {
-	t.Helper()
-	var units []*analysis.Unit
-	var wants []*want
-	for _, dir := range dirs {
-		pkg, err := load.Dir(dir)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", dir, err)
-		}
-		units = append(units, &analysis.Unit{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info})
-		wants = append(wants, collectWants(t, pkg)...)
-	}
-
-	type gdiag struct {
-		u *analysis.Unit
-		d analysis.Diagnostic
-	}
-	var diags []gdiag
-	pass := &analysis.GlobalPass{
-		Analyzer: a,
-		Units:    units,
-		Report:   func(u *analysis.Unit, d analysis.Diagnostic) { diags = append(diags, gdiag{u, d}) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: analyzer error: %v", a.Name, err)
-	}
-
-	for _, g := range diags {
-		pos := g.u.Fset.Position(g.d.Pos)
-		if !consume(wants, pos.Filename, pos.Line, g.d.Message) {
-			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, pos.Filename, pos.Line, g.d.Message)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s: no diagnostic at %s:%d matching %q", a.Name, w.file, w.line, w.pattern)
-		}
-	}
-}
-
 // collectWants parses every want comment in the fixture.
 func collectWants(t *testing.T, pkg *load.Package) []*want {
 	t.Helper()

@@ -5,30 +5,21 @@ import (
 )
 
 // Analyzer audits the directives themselves: unknown verbs are typos that
-// would silently fail to suppress anything, suppression verbs without a
-// justification defeat the audited-suppression protocol, domain declarations
-// need their domain argument, and seams — the sanctioned cross-domain
-// surface — must say why they are safe to cross.
+// would silently fail to suppress anything, and suppression verbs without a
+// justification defeat the audited-suppression protocol.
 var Analyzer = &analysis.Analyzer{
 	Name:    "directives",
 	Doc:     "ndplint directives must use known verbs, and suppressions must carry a justification",
-	Version: 2,
+	Version: 3,
 	Run: func(pass *analysis.Pass) error {
 		m := Parse(pass.Fset, pass.Files)
 		for _, d := range m.All() {
 			if !Known[d.Verb] {
-				pass.Reportf(d.Pos, "unknown ndplint directive verb %q (known: alloc, crossdomain, domain, hotpath, nosnap, ordered, seam)", d.Verb)
+				pass.Reportf(d.Pos, "unknown ndplint directive verb %q (known: alloc, hotpath, nosnap, ordered)", d.Verb)
 				continue
 			}
-			switch {
-			case !d.IsTag() && d.Justification == "":
+			if !d.IsTag() && d.Justification == "" {
 				pass.Reportf(d.Pos, "ndplint:%s suppression without a justification: write //ndplint:%s <why this is safe>", d.Verb, d.Verb)
-			case d.Verb == "domain" && d.Arg == "":
-				pass.Reportf(d.Pos, "ndplint:domain without a domain argument: write //ndplint:domain(<domain>)")
-			case d.Verb == "seam" && d.Justification == "":
-				pass.Reportf(d.Pos, "ndplint:seam without a justification: write //ndplint:seam <why this crossing is sanctioned>")
-			case d.Verb != "domain" && d.Arg != "":
-				pass.Reportf(d.Pos, "ndplint:%s does not take a parenthesized argument", d.Verb)
 			}
 		}
 		return nil

@@ -8,17 +8,10 @@
 //	//ndplint:ordered <why>       suppress: map iteration here is order-safe
 //	//ndplint:alloc <why>         suppress: this allocation in a hot path is accepted
 //	//ndplint:nosnap <why>        suppress: this field is deliberately not snapshotted
-//	//ndplint:domain(<d>) [why]   declare: the struct below belongs to ownership domain <d>
-//	//ndplint:seam <why>          declare: the function below is a sanctioned cross-domain seam
-//	//ndplint:crossdomain <why>   suppress: this cross-domain access is accepted
 //
 // Suppression verbs require a non-empty justification; the directives
 // analyzer rejects bare suppressions and unknown verbs so the suppression
-// inventory stays auditable (`ndplint -list-suppressions`). The shardcheck
-// declarations (domain, seam) are part of that audited inventory too — a new
-// seam or ownership claim is reviewable state, exactly like a suppression —
-// so they are listed alongside suppressions even though domain needs no
-// justification beyond its argument.
+// inventory stays auditable (`ndplint -list-suppressions`).
 package directive
 
 import (
@@ -30,33 +23,20 @@ import (
 const prefix = "//ndplint:"
 
 // Verbs that tag code for an analyzer rather than silence one, and so need
-// no justification. domain carries its meaning in the argument; seam demands
-// a justification (it widens the sanctioned cross-domain surface) and is
-// checked separately by the directives analyzer.
-var tagVerbs = map[string]bool{"hotpath": true, "domain": true, "seam": true}
-
-// listedTags names tag verbs that still appear in the -list-suppressions
-// inventory: ownership declarations are auditable state, hotpath tags are not
-// (they tighten checking rather than relax it).
-var listedTags = map[string]bool{"domain": true, "seam": true}
+// no justification.
+var tagVerbs = map[string]bool{"hotpath": true}
 
 // Known is the set of all recognized verbs.
 var Known = map[string]bool{
-	"hotpath":     true,
-	"ordered":     true,
-	"alloc":       true,
-	"nosnap":      true,
-	"domain":      true,
-	"seam":        true,
-	"crossdomain": true,
+	"hotpath": true,
+	"ordered": true,
+	"alloc":   true,
+	"nosnap":  true,
 }
 
 // Directive is one parsed ndplint comment.
 type Directive struct {
-	Verb string
-	// Arg is the parenthesized argument of verbs written as verb(arg),
-	// e.g. "unit" for //ndplint:domain(unit). Empty for plain verbs.
-	Arg           string
+	Verb          string
 	Justification string
 	Pos           token.Pos
 	// Line is the 1-based source line the comment sits on.
@@ -66,19 +46,6 @@ type Directive struct {
 
 // IsTag reports whether the directive tags code (vs. suppressing a finding).
 func (d Directive) IsTag() bool { return tagVerbs[d.Verb] }
-
-// Listed reports whether the directive belongs in the audited inventory
-// printed by -list-suppressions: every suppression, plus the ownership
-// declarations (domain, seam).
-func (d Directive) Listed() bool { return !d.IsTag() || listedTags[d.Verb] }
-
-// Display renders the directive's verb with its argument, as written.
-func (d Directive) Display() string {
-	if d.Arg != "" {
-		return d.Verb + "(" + d.Arg + ")"
-	}
-	return d.Verb
-}
 
 // Map indexes a package's directives by file and line.
 type Map struct {
@@ -97,15 +64,9 @@ func Parse(fset *token.FileSet, files []*ast.File) *Map {
 				}
 				rest := strings.TrimPrefix(c.Text, prefix)
 				verb, just, _ := strings.Cut(rest, " ")
-				var arg string
-				if i := strings.IndexByte(verb, '('); i >= 0 && strings.HasSuffix(verb, ")") {
-					arg = verb[i+1 : len(verb)-1]
-					verb = verb[:i]
-				}
 				pos := fset.Position(c.Pos())
 				d := Directive{
 					Verb:          verb,
-					Arg:           arg,
 					Justification: strings.TrimSpace(just),
 					Pos:           c.Pos(),
 					Line:          pos.Line,

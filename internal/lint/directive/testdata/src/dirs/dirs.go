@@ -21,11 +21,3 @@ func sum(m map[int]int) int {
 	}
 	return total
 }
-
-//ndplint:domain(perowner)
-type owned struct {
-	n int
-}
-
-//ndplint:seam boundary crossing sanctioned for the fixture
-func cross(o *owned) { o.n++ }

@@ -27,8 +27,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"strconv"
+	"strings"
 )
 
 // Package is one type-checked target package.

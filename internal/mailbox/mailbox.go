@@ -14,7 +14,6 @@ import (
 )
 
 // Mailbox is a byte-accounted FIFO ring of outgoing messages.
-//ndplint:domain(perowner)
 type Mailbox struct {
 	capacity uint64
 	used     uint64

@@ -22,7 +22,6 @@ import (
 // choice, slot numbering, and eviction order all match an eagerly-allocated
 // layout. Iteration (ForEach, snapshots) sorts the touched set indices, so
 // map ordering never leaks into simulation behavior.
-//ndplint:domain(perowner)
 type Borrowed struct {
 	sets  int
 	ways  int
@@ -42,7 +41,6 @@ type bentry struct {
 }
 
 // Eviction describes an entry displaced by Insert.
-//ndplint:domain(xfer)
 type Eviction struct {
 	Key   uint64
 	Value uint64

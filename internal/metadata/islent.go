@@ -15,7 +15,6 @@ import (
 // marking blocks currently lent to another unit. The word storage appears on
 // the first lend: most units in a run never lend, and the per-unit bitmaps
 // added up across constructed systems.
-//ndplint:domain(perowner)
 type IsLent struct {
 	bits       []uint64 // nil until the first lend
 	blockShift uint

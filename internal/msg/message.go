@@ -52,7 +52,6 @@ const MaxDataPayload = MaxSize - DataHeaderSize
 
 // SchedOut describes one data block a giver has selected to lend out,
 // appended to state messages during a load-balancing round (Section V-B).
-//ndplint:domain(xfer)
 type SchedOut struct {
 	BlockAddr uint64
 	Workload  uint64
@@ -61,7 +60,6 @@ type SchedOut struct {
 // State is the payload of a state message: the occupancy and progress
 // counters used by dynamic triggering (Section V-C) and load balancing
 // (Section VI).
-//ndplint:domain(xfer)
 type State struct {
 	LMailbox  uint64 // bytes waiting in the child's mailbox
 	WQueue    uint64 // summed workload estimate of the task queue
@@ -73,7 +71,6 @@ type State struct {
 // messages between bridges they are the IDs of the border units are not
 // meaningful and only routing metadata matter, so bridges re-route on the
 // task/data address fields.
-//ndplint:domain(xfer)
 type Message struct {
 	Type Type
 	Src  int

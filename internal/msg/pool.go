@@ -9,7 +9,6 @@ const poolSlab = 256
 // taken before the message is freed stops resolving afterwards: Put bumps
 // the message's generation, so Live detects use-after-free instead of
 // silently reading recycled storage.
-//ndplint:domain(xfer)
 type Handle struct {
 	idx uint32
 	gen uint32
@@ -24,7 +23,6 @@ type Handle struct {
 // Fault-injection runs never free (retry layers hold message pointers in
 // retransmit buffers past delivery); the pool then degrades to a plain
 // arena, which is still cheaper than individual allocations.
-//ndplint:domain(engine)
 type Pool struct {
 	slabs [][]Message
 	free  []uint32
@@ -53,7 +51,6 @@ func (p *Pool) at(idx uint32) *Message { return &p.slabs[idx/poolSlab][idx%poolS
 // identity and current generation; everything else is cleared.
 //
 //ndplint:hotpath
-//ndplint:seam shared message arena; PDES replaces it with per-shard pools (DESIGN 16)
 func (p *Pool) Get() *Message {
 	if len(p.free) == 0 {
 		p.grow() //ndplint:alloc amortized slab growth, one make per poolSlab Gets
@@ -73,7 +70,6 @@ func (p *Pool) Get() *Message {
 // always a lifecycle bug.
 //
 //ndplint:hotpath
-//ndplint:seam shared message arena; PDES replaces it with per-shard pools (DESIGN 16)
 func (p *Pool) Put(m *Message) {
 	if !m.pooled {
 		return
@@ -115,7 +111,6 @@ func (m *Message) Handle() (Handle, bool) {
 // NewTaskIn builds a task message from the pool.
 //
 //ndplint:hotpath
-//ndplint:seam shared message arena; PDES replaces it with per-shard pools (DESIGN 16)
 func (p *Pool) NewTaskIn(src, dst int, t task.Task) *Message {
 	m := p.Get()
 	m.Type = TypeTask
@@ -133,7 +128,6 @@ func (p *Pool) NewTaskIn(src, dst int, t task.Task) *Message {
 // slice and fresh Messages per call.
 //
 //ndplint:hotpath
-//ndplint:seam shared message arena; PDES replaces it with per-shard pools (DESIGN 16)
 func (p *Pool) SplitDataInto(buf []*Message, src, dst int, blockAddr uint64, n uint32) []*Message {
 	if n == 0 {
 		return buf

@@ -33,7 +33,6 @@ type rentry struct {
 // watermark-based backpressure condition: when the buffered bytes exceed the
 // limit the sender must stop draining new messages onto the hop, which
 // propagates into the existing mailbox/scatter backpressure paths.
-//ndplint:domain(perowner)
 type Retrans struct {
 	eng *sim.Engine //ndplint:nosnap simulation wiring from construction
 	//ndplint:nosnap config constant (initial retransmission timeout)
@@ -258,7 +257,6 @@ func (r *Retrans) sweep() {
 // numbers at or below the floor, or present in the seen set, are duplicates.
 // Accepting seq == floor+1 advances the floor and compacts the set, so for
 // in-order delivery the filter is O(1) space.
-//ndplint:domain(perowner)
 type Dedup struct {
 	floor uint32
 	seen  map[uint32]struct{}

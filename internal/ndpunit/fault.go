@@ -48,7 +48,6 @@ type faultState struct {
 // runtime: queued tasks to re-spawn, staged/mailboxed messages needing
 // terminal resolution, and unacked gather-hop messages whose loss must be
 // gated against late-arriving copies at the bridge.
-//ndplint:domain(xfer)
 type Remains struct {
 	Tasks   []task.Task
 	Msgs    []*msg.Message
@@ -56,7 +55,6 @@ type Remains struct {
 }
 
 // EnableFaults allocates the unit's fault state. Idempotent.
-//ndplint:seam fault-campaign control plane wired before the clock starts
 func (u *Unit) EnableFaults() {
 	if u.ft == nil {
 		u.ft = &faultState{}
@@ -66,7 +64,6 @@ func (u *Unit) EnableFaults() {
 // EnableRetry arms the unit's two retry-protocol endpoints against its
 // parent bridge. Only bridge designs call it; the retransmission knobs come
 // from cfg.Retry.
-//ndplint:seam retry-protocol control plane wired before the clock starts
 func (u *Unit) EnableRetry(parent Parent) {
 	u.EnableFaults()
 	u.ft.parent = parent
@@ -79,7 +76,6 @@ func (u *Unit) EnableRetry(parent Parent) {
 
 // SetLostHook installs the terminal-loss callback invoked for every message
 // the recovery runtime declares undeliverable.
-//ndplint:seam fault-campaign control plane wired before the clock starts
 func (u *Unit) SetLostHook(fn func(*msg.Message)) {
 	u.EnableFaults()
 	u.ft.lost = fn
@@ -91,7 +87,6 @@ func (u *Unit) Dead() bool { return u.ft != nil && u.ft.dead }
 // Stall freezes the compute pipeline until the given cycle: the running
 // task completes, the mailbox stays reachable, but no new task starts. The
 // caller should Kick afterwards so an idle unit arms its wake-up.
-//ndplint:seam fault hook: coordinator stalls the unit at a plan point
 func (u *Unit) Stall(until sim.Cycles) {
 	u.EnableFaults()
 	if until > u.ft.stalledUntil {
@@ -104,7 +99,6 @@ func (u *Unit) Stall(until sim.Cycles) {
 // through the lost hook. The task running at kill time force-completes (its
 // side effects were applied at start; see below), while queued tasks ride
 // along in Remains.Tasks for exactly-once re-spawn elsewhere.
-//ndplint:seam fault hook: coordinator kills the unit and collects its remains at a plan point
 func (u *Unit) Extinguish() Remains {
 	u.EnableFaults()
 	var r Remains
@@ -163,7 +157,6 @@ func (u *Unit) Extinguish() Remains {
 // original spawn still holds the epoch's outstanding count, so the adopted
 // copy must complete exactly once. Tasks whose block is lent out re-enter
 // the fabric as fresh messages.
-//ndplint:seam recovery hook: buddy unit adopts a dead unit task at a barrier
 func (u *Unit) AdoptTask(t task.Task) {
 	t.SpawnedAt = u.eng.Now()
 	if _, local := u.localOffset(t.Addr); !local {
@@ -177,7 +170,6 @@ func (u *Unit) AdoptTask(t task.Task) {
 
 // RecoverLent heals the isLent bit for a block whose borrowed copy was lost
 // with a dead unit: the home copy becomes authoritative again.
-//ndplint:seam recovery hook: coordinator restores lent-out metadata at a barrier
 func (u *Unit) RecoverLent(blk uint64) bool {
 	if u.env.Map().HomeRaw(blk) != u.id {
 		return false
@@ -210,7 +202,6 @@ func (u *Unit) AckGather(seq uint32) {
 }
 
 // NackGather triggers an immediate retransmission of a corrupted gather.
-//ndplint:seam retry protocol: rank bridge bounces a gathered message back
 func (u *Unit) NackGather(seq uint32) {
 	if u.ft != nil && u.ft.gatherRet != nil {
 		u.ft.gatherRet.Nack(seq)

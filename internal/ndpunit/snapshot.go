@@ -12,7 +12,6 @@ import (
 // cache contents, and — on fault runs — the retry-protocol endpoint state.
 // Structural configuration (bank geometry, mailbox capacity, DRAM layout
 // offsets) is derived from the config and not encoded.
-//ndplint:seam snapshot encoder: runs at a barrier with the fabric quiesced
 func (u *Unit) SnapshotTo(e *checkpoint.Enc) {
 	e.I64(int64(u.id))
 	e.Bool(u.running)
@@ -174,9 +173,6 @@ func (u *Unit) PendingMsgs() int {
 	}
 	return n
 }
-
-// QueuedTasks returns the number of tasks waiting in the unit's task queue.
-func (u *Unit) QueuedTasks() int { return u.queue.Len() }
 
 // LentCount returns the number of blocks this unit has lent out, per its
 // isLent metadata.

@@ -76,7 +76,6 @@ type schedSel struct {
 }
 
 // Unit is one NDP unit.
-//ndplint:domain(unit)
 type Unit struct {
 	id  int
 	env Env //ndplint:nosnap simulation wiring, rebound at construction
@@ -136,9 +135,9 @@ type Unit struct {
 
 	// Reused hot-path scratch: the single in-flight execution context and
 	// its completion event, and the SCHEDULE selection buffers.
-	ctx        execCtx      //ndplint:nosnap live only inside one runTask call
-	curTS      uint32       //ndplint:nosnap shadow of the running task's epoch, dead when idle
-	taskDoneFn func()       //ndplint:nosnap wiring, rebound at construction
+	ctx        execCtx        //ndplint:nosnap live only inside one runTask call
+	curTS      uint32         //ndplint:nosnap shadow of the running task's epoch, dead when idle
+	taskDoneFn func()         //ndplint:nosnap wiring, rebound at construction
 	splitBuf   []*msg.Message //ndplint:nosnap scratch, empty between calls
 	selBuf     []schedSel     //ndplint:nosnap scratch, empty between calls
 	byBlock    map[uint64]int //ndplint:nosnap scratch, cleared between calls
@@ -177,7 +176,6 @@ type Unit struct {
 // bind the same named instruments, so each histogram describes the
 // system-wide distribution. A nil registry leaves the instruments nil, which
 // keeps every observation a single-branch no-op.
-//ndplint:seam metrics wiring before the clock starts
 func (u *Unit) BindMetrics(reg *metrics.Registry) {
 	u.mTaskLat = reg.Histogram("task_latency_cycles")
 	u.mTaskExec = reg.Histogram("task_exec_cycles")
@@ -243,7 +241,6 @@ func New(id int, env Env, rng *sim.RNG) *Unit {
 // SetLegacyDeliver switches the unit back to one engine event per delivered
 // message instead of the batched inbox. The event-core equivalence tests run
 // both paths and require identical results.
-//ndplint:seam configuration toggle wired before the clock starts
 func (u *Unit) SetLegacyDeliver(on bool) { u.legacyDeliver = on }
 
 func (u *Unit) hotEnabled() bool {
@@ -308,7 +305,6 @@ func (u *Unit) IsLocal(addr uint64) bool {
 // SeedTask injects an initial task directly into the unit's queue, modeling
 // the static initial assignment done at data-loading time (no communication
 // charge).
-//ndplint:seam work injection: host and bridge seed tasks onto the unit queue at quiet points
 func (u *Unit) SeedTask(t task.Task) {
 	u.env.TaskSpawned(t.TS)
 	u.st.Spawned++
@@ -343,7 +339,6 @@ func (u *Unit) acceptTask(t task.Task) {
 
 // Kick prompts the core to start executing if it is idle. The system calls
 // it at start-of-run and after deliveries and epoch advances.
-//ndplint:seam DDR command surface: bridge wake command delivered over the command bus
 func (u *Unit) Kick() { u.tryStart() }
 
 // nextTask obtains the next runnable task of the current epoch, pulling
@@ -492,6 +487,7 @@ func (u *Unit) taskDone() {
 
 // taskMessage builds an outgoing task message addressed to the home unit.
 // escalate marks the cross-rank chase described in Section VI-B.
+//
 //ndplint:hotpath
 func (u *Unit) taskMessage(t task.Task, escalate bool) *msg.Message {
 	m := u.pool.NewTaskIn(u.id, u.env.Map().Home(t.Addr), t)
@@ -594,7 +590,6 @@ func (u *Unit) MailboxUsed() uint64 { return u.mb.Used() }
 // messages with the bank-side completion time. After a drain, staged
 // messages get another chance to enter the mailbox and the core resumes if
 // it was stalled.
-//ndplint:seam DDR command surface: gather drain, the bridge pulls staged messages here
 func (u *Unit) DrainMailbox(budget uint64) ([]*msg.Message, sim.Cycles) {
 	now := u.eng.Now()
 	if u.ft != nil {
@@ -667,7 +662,6 @@ func (u *Unit) BorrowedBlocks() []uint64 {
 // WastedGather charges the bank cost of a GATHER that found no messages —
 // fixed-interval triggering reads the transfer granularity from the mailbox
 // region regardless of content (Section V-C).
-//ndplint:seam DDR command surface: gather-poll accounting when the mailbox is empty
 func (u *Unit) WastedGather() {
 	epj := u.cfg.Energy.DRAMAccessPJPer64b
 	u.bank.Access(u.eng.Now(), u.mailboxOff, u.gxfer(), false, dram.AccessComm, epj)
@@ -678,7 +672,6 @@ func (u *Unit) WastedGather() {
 // returned cycle is when the bank transaction finishes.
 //
 //ndplint:hotpath
-//ndplint:seam DDR command surface: scatter delivery into the unit inbox
 func (u *Unit) Deliver(m *msg.Message) sim.Cycles {
 	eng := u.eng
 	epj := u.cfg.Energy.DRAMAccessPJPer64b
@@ -926,7 +919,6 @@ func (u *Unit) returnBlock(blk, slot uint64) {
 // ForceReturn is the back-invalidation used when a bridge-level dataBorrowed
 // entry is evicted: the receiver must return the block to keep the tables
 // inclusive.
-//ndplint:seam retry protocol: bridge forces return of a borrowed block
 func (u *Unit) ForceReturn(blk uint64) {
 	if slot, ok := u.borrowed.Lookup(blk); ok {
 		u.borrowed.Remove(blk)
@@ -936,7 +928,6 @@ func (u *Unit) ForceReturn(blk uint64) {
 
 // StateSnapshot serves STATE-GATHER: it returns the unit's state message
 // payload and transfers ownership of the pending scheduled-out list.
-//ndplint:seam DDR command surface: state-gather poll of unit occupancy
 func (u *Unit) StateSnapshot() msg.State {
 	ts := u.env.CurrentEpoch()
 	s := msg.State{
@@ -972,7 +963,6 @@ func (u *Unit) HasBacklog() bool {
 // data blocks, marks the blocks lent, and stages the messages tagged with
 // the commanding round. The selected list is reported back through the next
 // state message.
-//ndplint:seam DDR command surface: command budget grant from the rank bridge
 func (u *Unit) CommandSchedule(budget uint64, round uint32) {
 	ts := u.env.CurrentEpoch()
 	cfg := u.cfg

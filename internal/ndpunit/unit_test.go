@@ -46,7 +46,7 @@ func (e *stubEnv) TaskDone(ts uint32)       { e.done[ts]++ }
 func (e *stubEnv) MsgStaged()               { e.inflight++ }
 func (e *stubEnv) MsgDelivered()            { e.inflight-- }
 func (e *stubEnv) Trace() *trace.Recorder   { return nil }
-func (e *stubEnv) MsgPool() *msg.Pool        { return nil }
+func (e *stubEnv) MsgPool() *msg.Pool       { return nil }
 
 func smallCfg(d config.Design) config.Config {
 	cfg := config.Default().WithDesign(d)

@@ -32,8 +32,8 @@ type Engine struct {
 	env Env
 	// eng/cfg cache env.Engine()/env.Cfg() — both stable for the system's
 	// lifetime — so hot paths skip the interface dispatch.
-	eng     *sim.Engine    //ndplint:nosnap cached wiring, set at construction
-	cfg     *config.Config //ndplint:nosnap cached wiring, set at construction
+	eng     *sim.Engine       //ndplint:nosnap cached wiring, set at construction
+	cfg     *config.Config    //ndplint:nosnap cached wiring, set at construction
 	chips   [][]*ndpunit.Unit // units grouped by chip
 	running []bool
 	st      Stats

@@ -46,7 +46,7 @@ func (e *testEnv) TaskDone(uint32)          {}
 func (e *testEnv) MsgStaged()               { e.inflight++ }
 func (e *testEnv) MsgDelivered()            { e.inflight-- }
 func (e *testEnv) Trace() *trace.Recorder   { return nil }
-func (e *testEnv) MsgPool() *msg.Pool        { return nil }
+func (e *testEnv) MsgPool() *msg.Pool       { return nil }
 
 func TestRowCloneDeliversIntraChip(t *testing.T) {
 	env := newTestEnv()

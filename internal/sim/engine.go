@@ -68,7 +68,6 @@ type bucket struct {
 // interface{} values, so the Schedule/Run hot path is allocation-free once
 // the backing arrays have grown to the model's high-water mark; the arrays
 // are kept in place across pops and reused.
-//ndplint:domain(engine)
 type Engine struct {
 	now     Cycles
 	seq     uint64
@@ -333,7 +332,6 @@ func (e *Engine) Pending() int { return len(e.pq) + e.wheelCount }
 // always a model bug.
 //
 //ndplint:hotpath
-//ndplint:seam event scheduling API: the PDES sharder interposes per-shard queues and epoch windows here
 func (e *Engine) At(t Cycles, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
@@ -349,7 +347,6 @@ func (e *Engine) At(t Cycles, fn func()) {
 // produced.
 //
 //ndplint:hotpath
-//ndplint:seam engine-global ordering sequence shared by every scheduler
 func (e *Engine) ReserveSeq() uint64 {
 	e.seq++
 	return e.seq
@@ -359,7 +356,6 @@ func (e *Engine) ReserveSeq() uint64 {
 // drawn with ReserveSeq. Like At, scheduling in the past panics.
 //
 //ndplint:hotpath
-//ndplint:seam event scheduling API: the PDES sharder interposes per-shard queues and epoch windows here
 func (e *Engine) AtSeq(t Cycles, seq uint64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
@@ -372,17 +368,14 @@ func (e *Engine) AtSeq(t Cycles, seq uint64, fn func()) {
 // to the per-item scheduling count.
 //
 //ndplint:hotpath
-//ndplint:seam event-conservation credit reported by components at direct delivery
 func (e *Engine) CreditEvent() { e.processed++ }
 
 // After schedules fn d cycles from now.
 //
 //ndplint:hotpath
-//ndplint:seam event scheduling API: the PDES sharder interposes per-shard queues and epoch windows here
 func (e *Engine) After(d Cycles, fn func()) { e.At(e.now+d, fn) }
 
 // Stop makes Run (or RunUntil) return after the current event completes.
-//ndplint:seam components signal run completion to the event loop
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetProgress installs fn to be invoked every `every` processed events, from
@@ -428,7 +421,6 @@ func (e *Engine) tickAudit() {
 // checkpoints are taken at the bulk-sync epoch barrier, where the model's
 // in-flight structures are provably empty, and resume replays
 // deterministically up to the barrier (see internal/core and DESIGN.md §10).
-//ndplint:domain(xfer)
 type State struct {
 	Now       Cycles
 	Seq       uint64

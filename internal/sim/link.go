@@ -8,7 +8,6 @@ package sim
 //
 // Link is a passive bookkeeping structure: callers obtain the completion time
 // and schedule their own events on the Engine.
-//ndplint:domain(perowner)
 type Link struct {
 	name          string
 	bytesPerCycle uint64
@@ -32,9 +31,6 @@ func NewLink(name string, bytesPerCycle uint64, latency Cycles) *Link {
 
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
-
-// BytesPerCycle returns the link's bandwidth.
-func (l *Link) BytesPerCycle() uint64 { return l.bytesPerCycle }
 
 // Duration returns how many cycles a transfer of n bytes occupies the link,
 // excluding queueing and fixed latency.

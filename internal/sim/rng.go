@@ -4,7 +4,6 @@ package sim
 // (xorshift64star). The simulator cannot use math/rand's global state:
 // experiment runs must be reproducible bit-for-bit given a seed, independent
 // of anything else executing in the process.
-//ndplint:domain(perowner)
 type RNG struct {
 	state uint64
 }

@@ -13,7 +13,6 @@ package sim
 // protocol's backoff cap, and progress is measured in completed tasks plus
 // delivered messages, so even a run limping through retransmissions
 // advances between polls.
-//ndplint:domain(engine)
 type Watchdog struct {
 	eng      *Engine
 	period   Cycles

@@ -10,7 +10,6 @@ import (
 // a bitmap-managed pool to form a per-block linked list. When the pool is
 // exhausted, new tasks fall back to the normal task queue (the caller handles
 // the false return).
-//ndplint:domain(perowner)
 type ReservedQueue struct {
 	chunkTasks  int // tasks per chunk (G_xfer / task record size)
 	freeChunks  int

@@ -22,7 +22,6 @@ type Entry struct {
 // decays with probability b^-workload and is replaced when its counter
 // drops below zero (the HeavyGuardian discipline, simplified to hot-part
 // only as in the paper).
-//ndplint:domain(perowner)
 type Sketch struct {
 	buckets   int
 	entries   int

@@ -9,7 +9,6 @@ import "slices"
 //
 // The queue also supports popping from the tail, which traditional work
 // stealing uses to select victim tasks (Section VI-C).
-//ndplint:domain(perowner)
 type Queue struct {
 	epochs map[uint32]*fifo
 	size   int //ndplint:nosnap derived; recomputed by RestoreFrom via Push

@@ -22,7 +22,6 @@ const MaxArgs = 3
 
 // Task is one data-centric unit of work. The zero value is not a valid task;
 // use New.
-//ndplint:domain(xfer)
 type Task struct {
 	Func  FuncID
 	NArgs uint8
@@ -115,7 +114,6 @@ type Handler func(ctx Ctx, t Task)
 
 // Registry maps FuncIDs to handlers. A Registry is immutable after
 // registration and safe for concurrent reads.
-//ndplint:domain(shared-ro)
 type Registry struct {
 	handlers []Handler
 	names    []string
@@ -125,7 +123,6 @@ type Registry struct {
 func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds a handler under a diagnostic name and returns its FuncID.
-//ndplint:seam setup-phase registration; the registry freezes before the clock starts
 func (r *Registry) Register(name string, h Handler) FuncID {
 	if h == nil {
 		panic("task: nil handler")

@@ -148,9 +148,6 @@ func (s *Source) QueueLen() int { return s.q.len() }
 // credit pool's usage).
 func (s *Source) InFlight() uint64 { return s.inflight }
 
-// Exhausted reports whether the arrival stream is fully generated.
-func (s *Source) Exhausted() bool { return s.exhausted }
-
 // Done reports whether no serving work remains: arrivals exhausted and the
 // admission queue empty. In-fabric requests are the runtime's accounting.
 func (s *Source) Done() bool { return s.exhausted && s.q.len() == 0 }

@@ -50,7 +50,6 @@ type GraphLayout struct {
 	SegAddr [][]uint64 // adjacency segment block addresses per vertex
 	SegLen  [][]int32  // entries per segment
 	SegCap  int        // neighbors per segment
-	owner   []int32
 }
 
 const vertexRecordBytes = 64
@@ -69,12 +68,10 @@ func NewGraphLayout(sys *core.System, g *Graph) *GraphLayout {
 		SegAddr: make([][]uint64, g.V),
 		SegLen:  make([][]int32, g.V),
 		SegCap:  segCap,
-		owner:   make([]int32, g.V),
 	}
 	p := NewPlacer(sys)
 	for v := 0; v < g.V; v++ {
 		u := v * units / g.V
-		l.owner[v] = int32(u)
 		l.VAddr[v] = p.Alloc(u, vertexRecordBytes, vertexRecordBytes)
 		deg := g.Degree(v)
 		for off := 0; off < deg; off += segCap {
@@ -88,9 +85,6 @@ func NewGraphLayout(sys *core.System, g *Graph) *GraphLayout {
 	}
 	return l
 }
-
-// Owner returns the home unit of vertex v.
-func (l *GraphLayout) Owner(v int) int { return int(l.owner[v]) }
 
 // SegNeighbors returns the neighbor IDs covered by segment si of vertex v.
 func (l *GraphLayout) SegNeighbors(v, si int) []int32 {

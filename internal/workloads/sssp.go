@@ -129,6 +129,3 @@ func (a *SSSP) Reached() int {
 	}
 	return n
 }
-
-// Dist exposes final distances for verification.
-func (a *SSSP) Dist() []uint32 { return a.dist }
