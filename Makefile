@@ -39,6 +39,7 @@ ndplint:
 
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 100x -benchmem -run xxx ./internal/sim/
+	$(GO) test -run xxx -bench BenchmarkRMAT -benchtime 1x ./internal/workloads/
 
 # benchdiff reruns the small-scale campaign and diffs it against the
 # committed baseline; exits non-zero on a >10% events/sec regression.

@@ -94,8 +94,8 @@ func (a *auditor) weak(now sim.Cycles) {
 	a.checks++
 
 	var outstanding uint64
-	for _, n := range s.outstanding {
-		outstanding += n
+	for _, ec := range s.outstanding {
+		outstanding += ec.n
 	}
 	if got := s.tasksSpawnedTotal - s.tasksDoneTotal; got != outstanding {
 		a.violate(audit.Violation{

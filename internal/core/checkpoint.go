@@ -68,15 +68,10 @@ func (s *System) snapshotInto(e *checkpoint.Enc) {
 
 	e.U32(s.epoch)
 	e.U64(s.inflight)
-	epochs := make([]uint32, 0, len(s.outstanding))
-	for ts := range s.outstanding {
-		epochs = append(epochs, ts)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	e.U32(uint32(len(epochs)))
-	for _, ts := range epochs {
-		e.U32(ts)
-		e.U64(s.outstanding[ts])
+	e.U32(uint32(len(s.outstanding)))
+	for _, ec := range s.outstanding {
+		e.U32(ec.ts)
+		e.U64(ec.n)
 	}
 	e.U64(s.taskID)
 	e.U64(s.tasksSpawnedTotal)

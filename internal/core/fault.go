@@ -100,7 +100,7 @@ func (s *System) scheduleFaults() {
 		// that stops draining it is.
 		func() uint64 { return s.progress },
 		func() bool {
-			if s.outstanding[s.epoch] != 0 || s.inflight != 0 {
+			if s.outstanding.of(s.epoch) != 0 || s.inflight != 0 {
 				return true
 			}
 			return s.serve != nil && s.serve.src.QueueLen() > 0

@@ -243,12 +243,12 @@ func (s *System) servingAdvance() {
 		before := sv.src.Work()
 		s.drainAdmissions()
 		s.progress += sv.src.Work() - before
-		if s.outstanding[s.epoch] != 0 || s.inflight != 0 {
+		if s.outstanding.of(s.epoch) != 0 || s.inflight != 0 {
 			return
 		}
 	}
 	if sv.src.Done() {
-		delete(s.outstanding, s.epoch)
+		s.outstanding.remove(s.epoch)
 		if s.epochHook != nil {
 			s.epochHook(s.epoch)
 		}
@@ -261,7 +261,7 @@ func (s *System) servingAdvance() {
 	if barrier == 0 || now-s.epochStart < barrier {
 		return // idle gap between requests; the pump keeps the run alive
 	}
-	delete(s.outstanding, s.epoch)
+	s.outstanding.remove(s.epoch)
 	if s.epochHook != nil {
 		s.epochHook(s.epoch)
 	}

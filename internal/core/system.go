@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ndpbridge/internal/bridge"
@@ -57,7 +58,7 @@ type System struct {
 	exec    *host.Executor
 
 	epoch       uint32
-	outstanding map[uint32]uint64
+	outstanding epochCounts
 	inflight    uint64
 	app         App
 	done        bool
@@ -122,20 +123,58 @@ type System struct {
 	fBlocksRecovered uint64
 }
 
+// epochCount is one epoch's number of spawned but unfinished tasks.
+type epochCount struct {
+	ts uint32
+	n  uint64
+}
+
+// epochCounts holds the outstanding-task counts in ascending epoch order.
+// An entry appears on its epoch's first spawn and leaves only at that
+// epoch's barrier, so a zero count stays listed until then; snapshots
+// encode exactly this key set. A task's children inherit its epoch, so
+// few entries are ever live and a linear find is cheaper than a map probe.
+type epochCounts []epochCount
+
+// find returns epoch ts's position — where it is, or where it would be
+// inserted — and whether it is there.
+func (c epochCounts) find(ts uint32) (int, bool) {
+	for i, ec := range c {
+		if ec.ts >= ts {
+			return i, ec.ts == ts
+		}
+	}
+	return len(c), false
+}
+
+// of returns epoch ts's outstanding count (zero when unlisted).
+func (c epochCounts) of(ts uint32) uint64 {
+	if i, ok := c.find(ts); ok {
+		return c[i].n
+	}
+	return 0
+}
+
+// remove drops epoch ts's entry at its barrier.
+func (c *epochCounts) remove(ts uint32) {
+	if i, ok := c.find(ts); ok {
+		*c = slices.Delete(*c, i, i+1)
+	}
+}
+
 // New builds a system for cfg. The configuration is validated.
 func New(cfg config.Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &System{
-		cfg:         cfg,
-		eng:         sim.NewEngine(),
-		pool:        msg.NewPool(),
-		amap:        dram.NewAddrMap(cfg.Geometry),
-		reg:         task.NewRegistry(),
-		rng:         sim.NewRNG(cfg.Seed),
-		outstanding: make(map[uint32]uint64),
-		maxEvents:   2_000_000_000,
+		cfg:       cfg,
+		eng:       sim.NewEngine(),
+		pool:      msg.NewPool(),
+		amap:      dram.NewAddrMap(cfg.Geometry),
+		reg:       task.NewRegistry(),
+		rng:       sim.NewRNG(cfg.Seed),
+		maxEvents: 2_000_000_000,
 	}
 
 	if cfg.Design == config.DesignH {
@@ -186,7 +225,11 @@ func (s *System) CurrentEpoch() uint32 { return s.epoch }
 
 // TaskSpawned records a newly created task of epoch ts.
 func (s *System) TaskSpawned(ts uint32) {
-	s.outstanding[ts]++
+	i, ok := s.outstanding.find(ts)
+	if !ok {
+		s.outstanding = slices.Insert(s.outstanding, i, epochCount{ts: ts})
+	}
+	s.outstanding[i].n++
 	s.tasksSpawnedTotal++
 }
 
@@ -199,10 +242,11 @@ func (s *System) NextTaskID() uint64 {
 // TaskDone records a completed task and advances the epoch when the current
 // one drains.
 func (s *System) TaskDone(ts uint32) {
-	if s.outstanding[ts] == 0 {
+	i, ok := s.outstanding.find(ts)
+	if !ok || s.outstanding[i].n == 0 {
 		panic(fmt.Sprintf("core: TaskDone(%d) without outstanding task", ts))
 	}
-	s.outstanding[ts]--
+	s.outstanding[i].n--
 	s.tasksDoneTotal++
 	s.progress++
 	s.checkAdvance()
@@ -231,7 +275,7 @@ func (s *System) checkAdvance() {
 	if s.done || !s.ran {
 		return
 	}
-	if s.outstanding[s.epoch] != 0 || s.inflight != 0 {
+	if s.outstanding.of(s.epoch) != 0 || s.inflight != 0 {
 		return
 	}
 	if s.serve != nil {
@@ -240,7 +284,7 @@ func (s *System) checkAdvance() {
 		s.servingAdvance()
 		return
 	}
-	delete(s.outstanding, s.epoch)
+	s.outstanding.remove(s.epoch)
 	if s.epochHook != nil {
 		s.epochHook(s.epoch)
 	}
@@ -251,7 +295,7 @@ func (s *System) checkAdvance() {
 	// Ask the application for more work unless tasks for the next epoch
 	// were already spawned dynamically.
 	more := s.app.SeedEpoch(s, next)
-	if !more && s.outstanding[next] == 0 {
+	if !more && s.outstanding.of(next) == 0 {
 		s.done = true
 		s.eng.Stop()
 		return
@@ -496,15 +540,15 @@ func (s *System) Run(app App) (*stats.Result, error) {
 	}
 	if engErr != nil {
 		return nil, fmt.Errorf("core: %s/%s %w: %w (epoch %d, outstanding %d, inflight %d)%s%s",
-			app.Name(), s.cfg.Design, ErrNotConverged, engErr, s.epoch, s.outstanding[s.epoch], s.inflight, s.diagnose(), s.faultDiagnose())
+			app.Name(), s.cfg.Design, ErrNotConverged, engErr, s.epoch, s.outstanding.of(s.epoch), s.inflight, s.diagnose(), s.faultDiagnose())
 	}
 	if s.wd != nil && s.wd.Tripped() {
 		return nil, fmt.Errorf("core: %s/%s %w at %d cycles: no progress (epoch %d, outstanding %d, inflight %d, backlog %d units)%s%s",
-			app.Name(), s.cfg.Design, ErrWatchdog, s.eng.Now(), s.epoch, s.outstanding[s.epoch], s.inflight, s.backlogUnits(), s.diagnose(), s.faultDiagnose())
+			app.Name(), s.cfg.Design, ErrWatchdog, s.eng.Now(), s.epoch, s.outstanding.of(s.epoch), s.inflight, s.backlogUnits(), s.diagnose(), s.faultDiagnose())
 	}
 	if !s.done {
 		return nil, fmt.Errorf("core: %s/%s %w at %d cycles (epoch %d, outstanding %d, inflight %d, backlog %d units)%s",
-			app.Name(), s.cfg.Design, ErrDeadlock, s.eng.Now(), s.epoch, s.outstanding[s.epoch], s.inflight, s.backlogUnits(), s.faultDiagnose())
+			app.Name(), s.cfg.Design, ErrDeadlock, s.eng.Now(), s.epoch, s.outstanding.of(s.epoch), s.inflight, s.backlogUnits(), s.faultDiagnose())
 	}
 	return s.collect(app.Name()), nil
 }

@@ -10,7 +10,10 @@ import "slices"
 // The queue also supports popping from the tail, which traditional work
 // stealing uses to select victim tasks (Section VI-C).
 type Queue struct {
-	epochs map[uint32]*fifo
+	// epochs holds the non-empty FIFOs in ascending epoch order. A task's
+	// children inherit its epoch, so few epochs are ever live at once and
+	// a linear find is cheaper than a map probe.
+	epochs []*fifo
 	size   int //ndplint:nosnap derived; recomputed by RestoreFrom via Push
 	// spare recycles emptied per-epoch FIFOs so their backing arrays are
 	// reused across epochs instead of reallocated and regrown every epoch.
@@ -18,6 +21,7 @@ type Queue struct {
 }
 
 type fifo struct {
+	ts       uint32
 	items    []Task
 	head     int
 	workload uint64
@@ -58,14 +62,24 @@ func (f *fifo) popTail() (Task, bool) {
 }
 
 // NewQueue returns an empty queue.
-func NewQueue() *Queue {
-	return &Queue{epochs: make(map[uint32]*fifo)}
+func NewQueue() *Queue { return &Queue{} }
+
+// find returns epoch ts's position in q.epochs — where it is, or where it
+// would be inserted — and whether it is there.
+func (q *Queue) find(ts uint32) (int, bool) {
+	for i, f := range q.epochs {
+		if f.ts >= ts {
+			return i, f.ts == ts
+		}
+	}
+	return len(q.epochs), false
 }
 
 // Push appends a task to its epoch's FIFO.
 func (q *Queue) Push(t Task) {
-	f := q.epochs[t.TS]
-	if f == nil {
+	i, ok := q.find(t.TS)
+	if !ok {
+		var f *fifo
 		if n := len(q.spare); n > 0 {
 			f = q.spare[n-1]
 			q.spare[n-1] = nil
@@ -73,16 +87,18 @@ func (q *Queue) Push(t Task) {
 		} else {
 			f = &fifo{}
 		}
-		q.epochs[t.TS] = f
+		f.ts = t.TS
+		q.epochs = slices.Insert(q.epochs, i, f)
 	}
-	f.push(t)
+	q.epochs[i].push(t)
 	q.size++
 }
 
-// retire removes an emptied epoch FIFO from the map and parks it on the
-// free list with its backing array retained.
-func (q *Queue) retire(ts uint32, f *fifo) {
-	delete(q.epochs, ts)
+// retire removes the emptied FIFO at position i and parks it on the free
+// list with its backing array retained.
+func (q *Queue) retire(i int) {
+	f := q.epochs[i]
+	q.epochs = slices.Delete(q.epochs, i, i+1)
 	f.items = f.items[:0]
 	f.head = 0
 	f.workload = 0
@@ -91,15 +107,16 @@ func (q *Queue) retire(ts uint32, f *fifo) {
 
 // Pop removes the oldest task of epoch ts. It returns false if none exists.
 func (q *Queue) Pop(ts uint32) (Task, bool) {
-	f := q.epochs[ts]
-	if f == nil {
+	i, ok := q.find(ts)
+	if !ok {
 		return Task{}, false
 	}
+	f := q.epochs[i]
 	t, ok := f.pop()
 	if ok {
 		q.size--
 		if f.len() == 0 {
-			q.retire(ts, f)
+			q.retire(i)
 		}
 	}
 	return t, ok
@@ -107,15 +124,16 @@ func (q *Queue) Pop(ts uint32) (Task, bool) {
 
 // PopTail removes the newest task of epoch ts (work-stealing victim side).
 func (q *Queue) PopTail(ts uint32) (Task, bool) {
-	f := q.epochs[ts]
-	if f == nil {
+	i, ok := q.find(ts)
+	if !ok {
 		return Task{}, false
 	}
+	f := q.epochs[i]
 	t, ok := f.popTail()
 	if ok {
 		q.size--
 		if f.len() == 0 {
-			q.retire(ts, f)
+			q.retire(i)
 		}
 	}
 	return t, ok
@@ -126,8 +144,8 @@ func (q *Queue) Len() int { return q.size }
 
 // LenEpoch returns the number of queued tasks of epoch ts.
 func (q *Queue) LenEpoch(ts uint32) int {
-	if f := q.epochs[ts]; f != nil {
-		return f.len()
+	if i, ok := q.find(ts); ok {
+		return q.epochs[i].len()
 	}
 	return 0
 }
@@ -135,8 +153,8 @@ func (q *Queue) LenEpoch(ts uint32) int {
 // Workload returns the summed workload estimate of epoch ts — the W_queue
 // value reported in state messages.
 func (q *Queue) Workload(ts uint32) uint64 {
-	if f := q.epochs[ts]; f != nil {
-		return f.workload
+	if i, ok := q.find(ts); ok {
+		return q.epochs[i].workload
 	}
 	return 0
 }
@@ -148,21 +166,13 @@ func (q *Queue) DrainAll() []Task {
 	if q.size == 0 {
 		return nil
 	}
-	epochs := make([]uint32, 0, len(q.epochs))
-	for ts := range q.epochs {
-		epochs = append(epochs, ts)
-	}
-	slices.Sort(epochs)
 	out := make([]Task, 0, q.size)
-	for _, ts := range epochs {
-		for {
-			t, ok := q.Pop(ts)
-			if !ok {
-				break
-			}
-			out = append(out, t)
-		}
+	for len(q.epochs) > 0 {
+		f := q.epochs[0]
+		out = append(out, f.items[f.head:]...)
+		q.retire(0)
 	}
+	q.size = 0
 	return out
 }
 

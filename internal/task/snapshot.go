@@ -2,7 +2,6 @@ package task
 
 import (
 	"fmt"
-	"slices"
 
 	"ndpbridge/internal/checkpoint"
 )
@@ -11,8 +10,8 @@ import (
 // codec for Task (every field, including the simulator-side SpawnedAt and ID
 // metadata the wire format omits) and the Queue snapshot used by checkpoints
 // and the state-digest audit. Epoch FIFOs are encoded in ascending epoch
-// order so the byte stream is a pure function of queue contents, independent
-// of map iteration order.
+// order — the order the queue keeps them in — so the byte stream is a pure
+// function of queue contents.
 
 // EncodeTask appends t to e.
 func EncodeTask(e *checkpoint.Enc, t Task) {
@@ -57,18 +56,12 @@ func DecodeTask(d *checkpoint.Dec) Task {
 // SnapshotTo encodes the queue: per-epoch FIFOs in ascending epoch order,
 // each with its live tasks front to back.
 func (q *Queue) SnapshotTo(e *checkpoint.Enc) {
-	epochs := make([]uint32, 0, len(q.epochs))
-	for ts := range q.epochs {
-		epochs = append(epochs, ts)
-	}
-	slices.Sort(epochs)
-	e.U32(uint32(len(epochs)))
-	for _, ts := range epochs {
-		f := q.epochs[ts]
-		e.U32(ts)
+	e.U32(uint32(len(q.epochs)))
+	for _, f := range q.epochs {
+		e.U32(f.ts)
 		e.U32(uint32(f.len()))
-		for i := f.head; i < len(f.items); i++ {
-			EncodeTask(e, f.items[i])
+		for _, t := range f.items[f.head:] {
+			EncodeTask(e, t)
 		}
 	}
 }
@@ -76,7 +69,7 @@ func (q *Queue) SnapshotTo(e *checkpoint.Enc) {
 // RestoreFrom rebuilds the queue from a SnapshotTo stream, replacing the
 // current contents. Workload sums are recomputed from the tasks.
 func (q *Queue) RestoreFrom(d *checkpoint.Dec) error {
-	q.epochs = make(map[uint32]*fifo)
+	q.epochs = nil
 	q.size = 0
 	n := d.U32()
 	for i := uint32(0); i < n; i++ {

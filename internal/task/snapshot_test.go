@@ -64,15 +64,54 @@ func TestQueueSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestQueueSnapshotDeterministic(t *testing.T) {
-	// Map-backed epochs must serialize identically across encodes.
-	q := NewQueue()
-	for i := 0; i < 50; i++ {
-		q.Push(Task{TS: uint32(i % 7), Addr: uint64(i)})
+	// Encoding is a pure function of queue contents: repeated encodes
+	// agree, and so do queues that received the same per-epoch FIFOs in
+	// different epoch orders.
+	perEpoch := map[uint32][]Task{}
+	for i := 0; i < 60; i++ {
+		ts := uint32(i%4) * 3
+		perEpoch[ts] = append(perEpoch[ts], Task{TS: ts, Addr: uint64(i), Workload: uint32(i)})
 	}
-	var a, b checkpoint.Enc
-	q.SnapshotTo(&a)
-	q.SnapshotTo(&b)
-	if !bytes.Equal(a.Data(), b.Data()) {
+	build := func(order []uint32, interleave bool) *Queue {
+		q := NewQueue()
+		// An epoch that came and went leaves a recycled FIFO behind.
+		q.Push(Task{TS: 99})
+		q.Pop(99)
+		if interleave {
+			for i := 0; i < 15; i++ {
+				for _, ts := range order {
+					q.Push(perEpoch[ts][i])
+				}
+			}
+			return q
+		}
+		for _, ts := range order {
+			for _, tk := range perEpoch[ts] {
+				q.Push(tk)
+			}
+		}
+		return q
+	}
+	ref := build([]uint32{0, 3, 6, 9}, false)
+	var want checkpoint.Enc
+	ref.SnapshotTo(&want)
+	var again checkpoint.Enc
+	ref.SnapshotTo(&again)
+	if !bytes.Equal(want.Data(), again.Data()) {
 		t.Fatal("queue snapshot is not deterministic")
+	}
+	for _, c := range []struct {
+		order      []uint32
+		interleave bool
+	}{
+		{[]uint32{9, 6, 3, 0}, false},
+		{[]uint32{3, 9, 0, 6}, false},
+		{[]uint32{6, 0, 9, 3}, true},
+	} {
+		var got checkpoint.Enc
+		build(c.order, c.interleave).SnapshotTo(&got)
+		if !bytes.Equal(got.Data(), want.Data()) {
+			t.Errorf("epoch order %v (interleaved %v) encodes differently", c.order, c.interleave)
+		}
 	}
 }

@@ -78,30 +78,34 @@ func (g *Graph) Neighbors(v int) []int32 {
 // process (a=0.57, b=c=0.19), the standard stand-in for power-law real-world
 // graphs. Self-loops are kept (harmless for our kernels); duplicate edges
 // are kept too, matching multigraph traffic.
+//
+// Each bit level takes one draw, which picks a quadrant by comparing
+// rng.Float64() against the cumulative probabilities a, a+b and a+b+c.
+// The decode is done on the draw's integer mantissa instead, without
+// branches (see rmatThreshold), so the graph and the RNG's final state are
+// exactly those of the float comparison.
 func RMAT(rng *sim.RNG, scale, edgeFactor int) *Graph {
 	v := 1 << scale
 	e := v * edgeFactor
 	const a, b, c = 0.57, 0.19, 0.19
+	ta, tab, tabc := rmatThreshold(a), rmatThreshold(a+b), rmatThreshold(a+b+c)
 	type edge struct{ src, dst int32 }
-	edges := make([]edge, 0, e)
-	for i := 0; i < e; i++ {
-		var src, dst int
-		for bit := scale - 1; bit >= 0; bit-- {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				dst |= 1 << bit
-			case r < a+b+c:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
+	edges := make([]edge, e)
+	r := *rng // draw from a local copy; rng takes its final state below
+	for i := range edges {
+		var src, dst uint32
+		for bit := 0; bit < scale; bit++ {
+			m := r.Uint64() >> 11
+			// The quadrants split [0, 1) in the order a (no bit), b (dst),
+			// c (src), d (both): src is set from a+b up, dst on [a, a+b)
+			// and from a+b+c up.
+			s := atLeast(m, tab)
+			src = src<<1 | s
+			dst = dst<<1 | (atLeast(m, ta) ^ s ^ atLeast(m, tabc))
 		}
-		edges = append(edges, edge{int32(src), int32(dst)})
+		edges[i] = edge{int32(src), int32(dst)}
 	}
+	*rng = r
 	// Counting sort into CSR.
 	offsets := make([]int32, v+1)
 	for _, ed := range edges {
@@ -119,6 +123,17 @@ func RMAT(rng *sim.RNG, scale, edgeFactor int) *Graph {
 	}
 	return &Graph{V: v, Offsets: offsets, Edges: adj}
 }
+
+// rmatThreshold returns the integer form of the test Float64() < p. Float64
+// returns m/2^53 for the 53-bit mantissa m = Uint64()>>11, so m/2^53 < p
+// holds exactly when m < ceil(p·2^53): p·2^53 only shifts p's exponent, so
+// the product is exact, and m is an integer.
+func rmatThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// atLeast returns 1 if m >= t and 0 otherwise, without a branch. Both are
+// at most 2^53 and t > 0, so t-1-m wraps below zero (setting bit 63)
+// exactly when m >= t.
+func atLeast(m, t uint64) uint32 { return uint32((t - 1 - m) >> 63) }
 
 // Chain generates a deterministic path graph, useful in tests.
 func Chain(n int) *Graph {

@@ -1,6 +1,7 @@
 package ndpbridge_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -36,6 +37,34 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "tree/O") {
 		t.Errorf("result string: %s", r)
+	}
+}
+
+// TestReadmeQuickstartOutput runs the README quick-start configuration
+// (tree on the default 512-unit design O system) and requires the README to
+// show the line it prints.
+func TestReadmeQuickstartOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale system")
+	}
+	sys, err := ndpbridge.NewSystem(ndpbridge.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := ndpbridge.NewApp("tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sys.Run(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "// " + r.String(); !strings.Contains(string(readme), want) {
+		t.Errorf("README.md quick start does not show the printed result:\n%s", want)
 	}
 }
 
