@@ -1,7 +1,8 @@
 // Package checkpoint implements the simulator's snapshot container: a
-// versioned, checksummed binary format holding named state sections, plus the
-// crash-consistent file writer (temp file + fsync + atomic rename) every
-// results/checkpoint path in the repo goes through.
+// versioned, checksummed binary format holding named sections, the primitive
+// encoder that state digests hash, and the crash-consistent file writer
+// (temp file + fsync + atomic rename) every results/checkpoint path in the
+// repo goes through.
 //
 // The format is deliberately simple — little-endian primitives, length-
 // prefixed sections, 64-bit FNV-based checksums per section and over the
@@ -31,8 +32,8 @@ import (
 const Magic = "NDPCKPT\n"
 
 // Version is the current container format version. Readers reject any other
-// version: the format carries full simulation state, and silently decoding an
-// old layout would corrupt a resumed run.
+// version: silently decoding another layout would misread a run's identity or
+// its resume marker.
 const Version = 1
 
 const (
@@ -139,8 +140,11 @@ func (e *Enc) Len() int { return len(e.buf) }
 // Data returns the encoded bytes.
 func (e *Enc) Data() []byte { return e.buf }
 
-// Dec reads little-endian primitives from a buffer. The first decode error
-// sticks; check Err once after the reads (mirrors the Enc call sequence).
+// Dec reads little-endian primitives from a buffer: the ones the container
+// and the checkpoint metadata use. Component snapshot encodings are hashed,
+// never decoded, so Dec has no counterpart for U8, Bool, I64 or UVarint. The
+// first decode error sticks; check Err once after the reads (mirrors the Enc
+// call sequence).
 type Dec struct {
 	buf []byte
 	off int
@@ -181,38 +185,6 @@ func (d *Dec) U32() uint32 {
 	}
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
-
-// U8 reads one byte.
-func (d *Dec) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads one byte as a bool.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
-
-// UVarint reads one LEB128-encoded uint64.
-func (d *Dec) UVarint() uint64 {
-	var v uint64
-	for shift := uint(0); shift < 70; shift += 7 {
-		b := d.U8()
-		if d.err != nil {
-			return 0
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v
-		}
-	}
-	d.err = fmt.Errorf("checkpoint: varint longer than 10 bytes at offset %d", d.off)
-	return 0
-}
-
-// I64 reads one int64.
-func (d *Dec) I64() int64 { return int64(d.U64()) }
 
 // Bytes reads one length-prefixed byte slice (copied out of the buffer).
 func (d *Dec) Bytes() []byte {

@@ -20,21 +20,21 @@ import (
 // A checkpoint therefore records (a) everything needed to rebuild the run
 // (config JSON, app name, fault plan + seed) and (b) the marker: the
 // completed epoch, the engine position (cycle, event seq, processed count),
-// and a digest over the full component state. Resume is deterministic
-// replay-with-verification: the run is rebuilt and re-executed, and at the
-// marker barrier the live state is compared against the checkpoint — a
-// mismatch (version skew, non-determinism, corruption that survived the
-// checksums) fails loudly instead of continuing from a wrong state.
+// and a digest over the full component state. The state encoding itself is
+// hashed, never stored or decoded. Resume is deterministic replay with
+// verification: the run is rebuilt and re-executed, and at the marker barrier
+// the live state is compared against the checkpoint — a mismatch (version
+// skew, non-determinism, corruption that survived the checksums) fails
+// loudly instead of continuing from a wrong state.
 
 // ErrInterrupted is returned by Run when a requested checkpoint was written
 // at the next barrier and the run stopped early on purpose.
 var ErrInterrupted = errors.New("core: run interrupted, checkpoint written")
 
-// Section and metadata field layout of a checkpoint file.
-const (
-	sectionMeta  = "meta"
-	sectionState = "state"
-)
+// sectionMeta names the checkpoint's one section: the run's identity and the
+// marker. Files from earlier versions also carry a "state" section holding
+// the full encoding; readers ignore it.
+const sectionMeta = "meta"
 
 // Checkpoint is the decoded content of a checkpoint file.
 type Checkpoint struct {
@@ -46,20 +46,13 @@ type Checkpoint struct {
 	Cycle     uint64
 	Seq       uint64
 	Processed uint64
-	Digest    uint64 // checkpoint.Digest over the state section
-	State     []byte
+	Digest    uint64 // StateDigest at the marker barrier
 }
 
-// SnapshotState encodes the full component state: engine position, bulk-sync
-// accounting, and every unit, bridge, and fault-injector boundary. Call at a
-// barrier; elsewhere transient buffers make the encoding position-dependent.
-func (s *System) SnapshotState() []byte {
-	var e checkpoint.Enc
-	s.snapshotInto(&e)
-	return e.Data()
-}
-
-// snapshotInto encodes the full component state into e (see SnapshotState).
+// snapshotInto encodes the full component state into e: engine position,
+// bulk-sync accounting, and every unit, bridge, and fault-injector boundary.
+// Call at a barrier; elsewhere transient buffers make the encoding
+// position-dependent.
 func (s *System) snapshotInto(e *checkpoint.Enc) {
 	st := s.eng.SnapState()
 	e.U64(st.Now)
@@ -114,8 +107,9 @@ func (s *System) snapshotInto(e *checkpoint.Enc) {
 }
 
 // StateDigest returns the FNV-64 digest of the full component state. The
-// encode buffer is kept on the System and reused: the auditor digests the
-// state repeatedly and the snapshots run to megabytes at full scale.
+// encode buffer is kept on the System and reused: the auditor and periodic
+// checkpoints digest the state repeatedly and the encodings run to megabytes
+// at full scale.
 func (s *System) StateDigest() uint64 {
 	e := checkpoint.NewEnc(s.digestBuf)
 	s.snapshotInto(e)
@@ -136,7 +130,6 @@ func (s *System) buildCheckpoint() (*checkpoint.File, error) {
 			return nil, fmt.Errorf("core: encode fault plan: %w", err)
 		}
 	}
-	state := s.SnapshotState()
 	st := s.eng.SnapState()
 
 	name := s.app.Name()
@@ -152,16 +145,15 @@ func (s *System) buildCheckpoint() (*checkpoint.File, error) {
 	m.U64(st.Now)
 	m.U64(st.Seq)
 	m.U64(st.Processed)
-	m.U64(checkpoint.Digest(state))
+	m.U64(s.StateDigest())
 
 	f := checkpoint.New()
 	f.Add(sectionMeta, m.Data())
-	f.Add(sectionState, state)
 	return f, nil
 }
 
-// WriteCheckpoint writes a crash-consistent snapshot of the current barrier
-// state to path. Callers must be at a bulk-sync barrier (the epoch hook).
+// WriteCheckpoint writes a crash-consistent checkpoint marker to path.
+// Callers must be at a bulk-sync barrier (the epoch hook).
 func (s *System) WriteCheckpoint(path string) error {
 	f, err := s.buildCheckpoint()
 	if err != nil {
@@ -171,7 +163,7 @@ func (s *System) WriteCheckpoint(path string) error {
 }
 
 // ReadCheckpoint loads and validates a checkpoint file. Corruption anywhere
-// (header, either section, trailing bytes) is rejected by the checksums.
+// (header, any section, trailing bytes) is rejected by the checksums.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := checkpoint.ReadFile(path)
 	if err != nil {
@@ -180,10 +172,6 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	meta, ok := f.Section(sectionMeta)
 	if !ok {
 		return nil, fmt.Errorf("core: checkpoint %s: missing %s section", path, sectionMeta)
-	}
-	state, ok := f.Section(sectionState)
-	if !ok {
-		return nil, fmt.Errorf("core: checkpoint %s: missing %s section", path, sectionState)
 	}
 	d := checkpoint.NewDec(meta)
 	ck := &Checkpoint{
@@ -196,13 +184,9 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		Seq:       d.U64(),
 		Processed: d.U64(),
 		Digest:    d.U64(),
-		State:     state,
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
-	}
-	if got := checkpoint.Digest(state); got != ck.Digest {
-		return nil, fmt.Errorf("core: checkpoint %s: state digest %#x does not match recorded %#x", path, got, ck.Digest)
 	}
 	return ck, nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ndpbridge/internal/checkpoint"
 	"ndpbridge/internal/config"
 	"ndpbridge/internal/task"
 )
@@ -205,4 +206,109 @@ func TestCheckpointResumeDivergenceDetected(t *testing.T) {
 	if _, err := sys2.Run(&epochWave{epochs: 3}); err == nil {
 		t.Fatal("diverged replay not detected")
 	}
+}
+
+// TestCheckpointIsMarker: a checkpoint records identity, position and the
+// state digest — one small meta section — not the state encoding itself.
+func TestCheckpointIsMarker(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	sys, err := New(testCfg(config.DesignO))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.EnableCheckpoints(path, 1)
+	var digests []uint64
+	sys.addEpochHook(func(uint32) { digests = append(digests, sys.StateDigest()) })
+	if _, err := sys.Run(&epochWave{epochs: 3}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Sections) != 1 || f.Sections[0].Name != sectionMeta {
+		t.Fatalf("sections %v, want only %q", sectionNames(f), sectionMeta)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() >= 4096 {
+		t.Errorf("checkpoint is %d bytes, want under 4 KiB", fi.Size())
+	}
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := digests[len(digests)-1]; ck.Digest != last {
+		t.Errorf("recorded digest %#x, state digest at the last barrier %#x", ck.Digest, last)
+	}
+}
+
+// TestCheckpointLegacyStateSection: files written before checkpoints became
+// markers carry the full state encoding in a second "state" section. They
+// must still load and resume verified.
+func TestCheckpointLegacyStateSection(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.ckpt")
+	cfg := testCfg(config.DesignO)
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state []byte
+	sys.addEpochHook(func(completed uint32) {
+		if completed != 1 {
+			return
+		}
+		f, err := sys.buildCheckpoint()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var e checkpoint.Enc
+		sys.snapshotInto(&e)
+		state = e.Data()
+		f.Add("state", state)
+		if err := checkpoint.WriteFile(path, f); err != nil {
+			t.Error(err)
+		}
+	})
+	r1, err := sys.Run(&epochWave{epochs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state == nil {
+		t.Fatal("no barrier at epoch 1")
+	}
+
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Epoch != 1 || ck.Digest != checkpoint.Digest(state) {
+		t.Fatalf("legacy marker: epoch %d digest %#x, want epoch 1 digest %#x", ck.Epoch, ck.Digest, checkpoint.Digest(state))
+	}
+	sys2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys2.VerifyResume(ck)
+	r2, err := sys2.Run(&epochWave{epochs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys2.ResumeVerified() {
+		t.Fatal("replay never matched the legacy checkpoint marker")
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Error("resumed run result differs from original")
+	}
+}
+
+func sectionNames(f *checkpoint.File) []string {
+	var names []string
+	for _, s := range f.Sections {
+		names = append(names, s.Name)
+	}
+	return names
 }

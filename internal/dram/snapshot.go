@@ -8,7 +8,7 @@ import (
 
 // SnapshotTo encodes the bank's mutable timing state and counters. The
 // geometry (timing parameters, row size) comes from the config and is not
-// encoded; the restoring bank must be built from the same config.
+// encoded; a checkpoint records the config separately.
 func (b *Bank) SnapshotTo(e *checkpoint.Enc) {
 	e.I64(b.openRow)
 	e.U64(uint64(b.busyUntil))
@@ -24,23 +24,4 @@ func (b *Bank) SnapshotTo(e *checkpoint.Enc) {
 	e.U64(math.Float64bits(b.stats.EnergyPJ))
 	e.U64(math.Float64bits(b.stats.CommEnergyPJ))
 	e.U64(uint64(b.stats.BusyCycles))
-}
-
-// RestoreFrom repositions the bank from a snapshot taken by SnapshotTo.
-func (b *Bank) RestoreFrom(d *checkpoint.Dec) error {
-	b.openRow = d.I64()
-	b.busyUntil = d.U64()
-	b.nextRefresh = d.U64()
-	b.stats.Reads = d.U64()
-	b.stats.Writes = d.U64()
-	b.stats.RowHits = d.U64()
-	b.stats.RowMisses = d.U64()
-	b.stats.Refreshes = d.U64()
-	b.stats.LocalBytes = d.U64()
-	b.stats.CommBytes = d.U64()
-	b.stats.HostBytes = d.U64()
-	b.stats.EnergyPJ = math.Float64frombits(d.U64())
-	b.stats.CommEnergyPJ = math.Float64frombits(d.U64())
-	b.stats.BusyCycles = d.U64()
-	return d.Err()
 }

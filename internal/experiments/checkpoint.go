@@ -23,8 +23,9 @@ import (
 // atomic anyway) or later on-disk corruption is rejected by the checksums
 // and the cell is simply re-simulated.
 //
-// The cache stores final results, not metric streams, so it is bypassed when
-// metrics collection is on — a cache hit cannot reproduce histograms.
+// The cache stores final results, not metric streams, traces or audits, so it
+// is bypassed while metrics collection, flow tracing or the auditor is on — a
+// cache hit cannot reproduce histograms or spans, and checks nothing.
 
 // cacheFormat versions the key material; bump on any layout change.
 const cacheFormat = 1

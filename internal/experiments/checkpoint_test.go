@@ -147,6 +147,26 @@ func TestCampaignCacheBypassedWithMetrics(t *testing.T) {
 	}
 }
 
+func TestCampaignCacheBypassedWithAudit(t *testing.T) {
+	withCheckpointDir(t)
+	SetJobs(1)
+	defer SetJobs(0)
+	designs := []config.Design{config.DesignO}
+
+	if _, err := Grid(Small, []string{"ll"}, designs, nil); err != nil {
+		t.Fatal(err)
+	}
+	ResetCounters()
+	SetAuditEvery(512)
+	defer SetAuditEvery(0)
+	if _, err := Grid(Small, []string{"ll"}, designs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := CacheHits(); n != 0 {
+		t.Fatalf("cache served %d hit(s) while the auditor was on", n)
+	}
+}
+
 func TestCampaignAuditAttach(t *testing.T) {
 	SetAuditEvery(512)
 	defer SetAuditEvery(0)

@@ -63,11 +63,13 @@ func newApp(name string, sc Scale) (core.App, error) {
 
 // run executes one (app, config) pair, consulting the campaign checkpoint
 // cache first when one is configured. The cache stores final results only,
-// so it is bypassed while metrics collection is on.
+// so it is neither consulted nor filled while a metrics registry, a flow
+// recorder or the auditor is on: a cached result carries no metrics or
+// trace, and was never audited.
 func run(cfg config.Config, appName string, sc Scale) (*stats.Result, error) {
 	dir := CheckpointDir()
 	var key []byte
-	if dir != "" && !metricsEnabled() && !flowTraceEnabled() {
+	if dir != "" && !metricsEnabled() && !flowTraceEnabled() && AuditEvery() == 0 {
 		var err error
 		key, err = cacheKeyMaterial(cfg, appName, sc)
 		if err != nil {

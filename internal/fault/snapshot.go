@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"fmt"
 	"sort"
 
 	"ndpbridge/internal/checkpoint"
@@ -48,42 +47,6 @@ func (inj *Injector) SnapshotTo(e *checkpoint.Enc) {
 	encodeCounters(e, inj.st)
 }
 
-// RestoreFrom repositions the injector from a SnapshotTo stream. The hops
-// must already exist (the consumers create them during system construction,
-// which is deterministic), and their spec counts must match.
-func (inj *Injector) RestoreFrom(d *checkpoint.Dec) error {
-	n := d.U32()
-	if inj == nil {
-		if d.Err() == nil && n != 0 {
-			return fmt.Errorf("fault: snapshot has %d hops but no injector is attached", n)
-		}
-		decodeCounters(d)
-		return d.Err()
-	}
-	for i := uint32(0); i < n; i++ {
-		scope := Scope(d.Str())
-		rank := int(d.I64())
-		state := d.U64()
-		specs := d.U32()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		h := inj.hops[hopKey{scope, rank}]
-		if h == nil {
-			return fmt.Errorf("fault: snapshot hop (%s, %d) does not exist in this injector", scope, rank)
-		}
-		if int(specs) != len(h.specs) {
-			return fmt.Errorf("fault: snapshot hop (%s, %d) has %d specs, injector has %d", scope, rank, specs, len(h.specs))
-		}
-		h.rng.SetState(state)
-		for _, a := range h.specs {
-			a.fired = d.U64()
-		}
-	}
-	inj.st = decodeCounters(d)
-	return d.Err()
-}
-
 func encodeCounters(e *checkpoint.Enc, c Counters) {
 	e.U64(c.Drops)
 	e.U64(c.Corrupts)
@@ -92,16 +55,4 @@ func encodeCounters(e *checkpoint.Enc, c Counters) {
 	e.U64(c.Stalls)
 	e.U64(c.Kills)
 	e.U64(c.Overflows)
-}
-
-func decodeCounters(d *checkpoint.Dec) Counters {
-	return Counters{
-		Drops:      d.U64(),
-		Corrupts:   d.U64(),
-		Duplicates: d.U64(),
-		Delays:     d.U64(),
-		Stalls:     d.U64(),
-		Kills:      d.U64(),
-		Overflows:  d.U64(),
-	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ndpbridge/internal/checkpoint"
@@ -14,76 +15,106 @@ func snapshotPlan() *Plan {
 	}}
 }
 
-func TestInjectorSnapshotRoundTrip(t *testing.T) {
-	inj := New(snapshotPlan(), 7)
-	h0 := inj.HopFor(ScopeL1Gather, 0)
-	h1 := inj.HopFor(ScopeL1Gather, 1)
-	h2 := inj.HopFor(ScopeL1Scatter, 0)
-	// Advance the streams and firing budgets.
-	for i := 0; i < 20; i++ {
-		h0.Decide(100)
-		h1.Decide(100)
-		h2.Decide(100)
-	}
-
+func encode(inj *Injector) []byte {
 	var e checkpoint.Enc
 	inj.SnapshotTo(&e)
+	return e.Data()
+}
 
-	// A freshly built injector with the same plan repositioned from the
-	// snapshot must produce the identical future fault schedule.
-	inj2 := New(snapshotPlan(), 7)
-	g0 := inj2.HopFor(ScopeL1Gather, 0)
-	g1 := inj2.HopFor(ScopeL1Gather, 1)
-	g2 := inj2.HopFor(ScopeL1Scatter, 0)
-	if err := inj2.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
-		t.Fatal(err)
+// advanced builds an injector, creates its three hops in forward or reverse
+// order (hops live in a map, so this is map insertion order), and runs the
+// same 20 decisions on each.
+func advanced(reverse bool) *Injector {
+	keys := []hopKey{{ScopeL1Gather, 0}, {ScopeL1Gather, 1}, {ScopeL1Scatter, 0}}
+	if reverse {
+		slices.Reverse(keys)
 	}
-	if inj2.Counters() != inj.Counters() {
-		t.Errorf("counters %+v, want %+v", inj2.Counters(), inj.Counters())
+	inj := New(snapshotPlan(), 7)
+	for _, k := range keys {
+		inj.HopFor(k.scope, k.rank)
 	}
-	for i := 0; i < 50; i++ {
-		if h0.Decide(200) != g0.Decide(200) || h1.Decide(200) != g1.Decide(200) || h2.Decide(200) != g2.Decide(200) {
-			t.Fatalf("fault schedule diverged at decision %d after restore", i)
+	for i := 0; i < 20; i++ {
+		for _, k := range keys {
+			inj.HopFor(k.scope, k.rank).Decide(100)
 		}
 	}
+	return inj
+}
 
-	// Deterministic encoding across calls (hops live in a map).
-	var a, b checkpoint.Enc
-	inj.SnapshotTo(&a)
-	inj.SnapshotTo(&b)
-	if !bytes.Equal(a.Data(), b.Data()) {
-		t.Fatal("injector snapshot is not deterministic")
+func TestInjectorSnapshotEncoding(t *testing.T) {
+	ref := advanced(false)
+	want := encode(ref)
+	if !bytes.Equal(encode(ref), want) {
+		t.Fatal("repeated encodes differ")
+	}
+	if !bytes.Equal(encode(advanced(true)), want) {
+		t.Fatal("hop creation order leaks into the encoding")
+	}
+	if ref.Counters() == (Counters{}) {
+		t.Fatal("no fault fired; the probe exercises nothing")
+	}
+
+	for name, mutate := range map[string]func(*Injector){
+		"rng position": func(inj *Injector) { inj.HopFor(ScopeL1Gather, 1).rng.Uint64() },
+		"fired count":  func(inj *Injector) { inj.HopFor(ScopeL1Scatter, 0).specs[0].fired++ },
+		"decision":     func(inj *Injector) { inj.HopFor(ScopeL1Gather, 0).Decide(100) },
+		"stall count":  func(inj *Injector) { inj.CountStall() },
+		"kill count":   func(inj *Injector) { inj.CountKill() },
+		"overflows":    func(inj *Injector) { inj.CountOverflow() },
+	} {
+		inj := advanced(false)
+		mutate(inj)
+		if bytes.Equal(encode(inj), want) {
+			t.Errorf("%s: encoding unchanged", name)
+		}
 	}
 }
 
+// TestInjectorSnapshotNil: a nil injector (faults off) encodes exactly like
+// one with no live hops, so the two are interchangeable in a state digest.
 func TestInjectorSnapshotNil(t *testing.T) {
-	var inj *Injector
-	var e checkpoint.Enc
-	inj.SnapshotTo(&e)
-	var inj2 *Injector
-	if err := inj2.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
-		t.Fatalf("nil round trip: %v", err)
+	want := encode(New(snapshotPlan(), 7))
+	if got := encode(nil); !bytes.Equal(got, want) {
+		t.Errorf("nil injector encodes %x, hop-less injector %x", got, want)
 	}
-
-	// A snapshot with hops cannot restore into a faultless run.
-	live := New(snapshotPlan(), 7)
-	live.HopFor(ScopeL1Gather, 0)
-	var e2 checkpoint.Enc
-	live.SnapshotTo(&e2)
-	var none *Injector
-	if err := none.RestoreFrom(checkpoint.NewDec(e2.Data())); err == nil {
-		t.Fatal("hop-bearing snapshot restored into nil injector")
+	// A scope no spec matches creates a nil hop, which carries no state.
+	inj := New(snapshotPlan(), 7)
+	if inj.HopFor(ScopeL2Down, 0) != nil {
+		t.Fatal("unmatched scope produced a live hop")
+	}
+	if !bytes.Equal(encode(inj), want) {
+		t.Error("a nil hop changed the encoding")
+	}
+	// A live hop does show.
+	inj.HopFor(ScopeL1Gather, 0)
+	if bytes.Equal(encode(inj), want) {
+		t.Error("a live hop left the encoding unchanged")
 	}
 }
 
+// TestInjectorSnapshotHopMismatch: a replay that built a different set of
+// hops, or hops with different spec lists, must fail the resume digest
+// check, so both must show in the encoding.
 func TestInjectorSnapshotHopMismatch(t *testing.T) {
 	inj := New(snapshotPlan(), 7)
 	inj.HopFor(ScopeL1Gather, 3)
-	var e checkpoint.Enc
-	inj.SnapshotTo(&e)
+	want := encode(inj)
 
-	other := New(snapshotPlan(), 7) // same plan but hop never created
-	if err := other.RestoreFrom(checkpoint.NewDec(e.Data())); err == nil {
-		t.Fatal("unknown hop not rejected")
+	other := New(snapshotPlan(), 7) // same plan, hop never created
+	if bytes.Equal(encode(other), want) {
+		t.Error("a missing hop left the encoding unchanged")
+	}
+	other.HopFor(ScopeL1Gather, 4) // same plan, different rank
+	if bytes.Equal(encode(other), want) {
+		t.Error("a hop on another rank encodes like the original")
+	}
+
+	// Same hop and seed, one more spec matching it.
+	plan := snapshotPlan()
+	plan.Faults = append(plan.Faults, Spec{Kind: KindDup, Scope: ScopeL1Gather, Rank: 3, Prob: 0.1})
+	more := New(plan, 7)
+	more.HopFor(ScopeL1Gather, 3)
+	if bytes.Equal(encode(more), want) {
+		t.Error("a different spec count left the encoding unchanged")
 	}
 }

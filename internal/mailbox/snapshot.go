@@ -1,14 +1,13 @@
 package mailbox
 
 import (
-	"fmt"
-
 	"ndpbridge/internal/checkpoint"
 	"ndpbridge/internal/msg"
 )
 
-// SnapshotTo encodes the mailbox: capacity (for shape validation on
-// restore), the queued messages front to back, and the accounting counters.
+// SnapshotTo encodes the mailbox: capacity (so mailboxes of different sizes
+// never digest alike), the queued messages front to back, and the accounting
+// counters.
 func (mb *Mailbox) SnapshotTo(e *checkpoint.Enc) {
 	e.U64(mb.capacity)
 	e.U32(uint32(len(mb.queue) - mb.head))
@@ -20,29 +19,4 @@ func (mb *Mailbox) SnapshotTo(e *checkpoint.Enc) {
 	e.U64(mb.dequeued)
 	e.U64(mb.stalls)
 	e.U64(mb.peakUsed)
-}
-
-// RestoreFrom rebuilds the mailbox from a SnapshotTo stream, replacing the
-// current contents. The capacity must match the snapshot's.
-func (mb *Mailbox) RestoreFrom(d *checkpoint.Dec) error {
-	capacity := d.U64()
-	if d.Err() == nil && capacity != mb.capacity {
-		return fmt.Errorf("mailbox: snapshot capacity %d, have %d", capacity, mb.capacity)
-	}
-	n := d.U32()
-	mb.queue = mb.queue[:0]
-	mb.head = 0
-	for i := uint32(0); i < n; i++ {
-		mm := msg.DecodeSnapshot(d)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		mb.queue = append(mb.queue, mm)
-	}
-	mb.used = d.U64()
-	mb.enqueued = d.U64()
-	mb.dequeued = d.U64()
-	mb.stalls = d.U64()
-	mb.peakUsed = d.U64()
-	return d.Err()
 }

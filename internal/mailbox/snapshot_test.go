@@ -1,58 +1,77 @@
 package mailbox
 
 import (
+	"bytes"
 	"testing"
 
 	"ndpbridge/internal/checkpoint"
 	"ndpbridge/internal/msg"
 )
 
-func TestMailboxSnapshotRoundTrip(t *testing.T) {
+func encode(mb *Mailbox) []byte {
+	var e checkpoint.Enc
+	mb.SnapshotTo(&e)
+	return e.Data()
+}
+
+func stateMsg(i uint32) *msg.Message {
+	return &msg.Message{Type: msg.TypeState, Src: int(i), Dst: 0, Seq: i, State: &msg.State{WQueue: uint64(i)}}
+}
+
+// filled enqueues state messages with the given sequence numbers into a
+// 1 KiB mailbox and dequeues two, so the head offset is non-zero.
+func filled(t *testing.T, seqs ...uint32) *Mailbox {
+	t.Helper()
 	mb := New(1 << 10)
-	for i := uint32(1); i <= 5; i++ {
-		if !mb.Enqueue(&msg.Message{Type: msg.TypeState, Src: int(i), Dst: 0, Seq: i, State: &msg.State{WQueue: uint64(i)}}) {
+	for _, s := range seqs {
+		if !mb.Enqueue(stateMsg(s)) {
 			t.Fatal("enqueue failed")
 		}
 	}
-	mb.Dequeue() // non-zero head
 	mb.Dequeue()
+	mb.Dequeue()
+	return mb
+}
 
-	var e checkpoint.Enc
-	mb.SnapshotTo(&e)
-
-	r := New(1 << 10)
-	if err := r.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
-		t.Fatal(err)
+func TestMailboxSnapshotEncoding(t *testing.T) {
+	want := encode(filled(t, 1, 2, 3, 4, 5))
+	if !bytes.Equal(encode(filled(t, 1, 2, 3, 4, 5)), want) {
+		t.Fatal("identical mailboxes encode differently")
 	}
-	if r.Len() != mb.Len() || r.Used() != mb.Used() {
-		t.Fatalf("restored len=%d used=%d, want %d, %d", r.Len(), r.Used(), mb.Len(), mb.Used())
-	}
-	re, rd, rs, rp := r.Stats()
-	oe, od, osn, op := mb.Stats()
-	if re != oe || rd != od || rs != osn || rp != op {
-		t.Errorf("restored stats (%d %d %d %d), want (%d %d %d %d)", re, rd, rs, rp, oe, od, osn, op)
-	}
-	for {
-		want, ok1 := mb.Dequeue()
-		got, ok2 := r.Dequeue()
-		if ok1 != ok2 {
-			t.Fatal("dequeue availability diverged")
+	for name, mb := range map[string]*Mailbox{
+		"queue order":   filled(t, 1, 2, 3, 5, 4),
+		"queued seq":    filled(t, 1, 2, 3, 4, 6),
+		"one more item": filled(t, 1, 2, 3, 4, 5, 6),
+	} {
+		if bytes.Equal(encode(mb), want) {
+			t.Errorf("%s: encoding unchanged", name)
 		}
-		if !ok1 {
-			break
-		}
-		if got.Seq != want.Seq || got.Src != want.Src {
-			t.Fatalf("got seq %d from %d, want seq %d from %d", got.Seq, got.Src, want.Seq, want.Src)
+	}
+	for name, mutate := range map[string]func(*Mailbox){
+		"dequeue":  func(mb *Mailbox) { mb.Dequeue() },
+		"used":     func(mb *Mailbox) { mb.used++ },
+		"enqueued": func(mb *Mailbox) { mb.enqueued++ },
+		"dequeued": func(mb *Mailbox) { mb.dequeued++ },
+		"stalls": func(mb *Mailbox) {
+			if mb.Enqueue(&msg.Message{Type: msg.TypeData, ChunkLen: 1 << 10}) {
+				t.Fatal("oversized message fit")
+			}
+		},
+		"peak": func(mb *Mailbox) { mb.peakUsed++ },
+	} {
+		mb := filled(t, 1, 2, 3, 4, 5)
+		mutate(mb)
+		if bytes.Equal(encode(mb), want) {
+			t.Errorf("%s: encoding unchanged", name)
 		}
 	}
 }
 
+// TestMailboxSnapshotCapacityMismatch: a replay that sized a mailbox
+// differently must fail the resume digest check, so capacity must show in
+// the encoding even when both mailboxes are empty.
 func TestMailboxSnapshotCapacityMismatch(t *testing.T) {
-	mb := New(512)
-	var e checkpoint.Enc
-	mb.SnapshotTo(&e)
-	r := New(1024)
-	if err := r.RestoreFrom(checkpoint.NewDec(e.Data())); err == nil {
-		t.Fatal("capacity mismatch not rejected")
+	if bytes.Equal(encode(New(512)), encode(New(1024))) {
+		t.Fatal("mailboxes of different capacity encode alike")
 	}
 }

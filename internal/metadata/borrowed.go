@@ -101,20 +101,6 @@ func (b *Borrowed) Contains(key uint64) bool {
 	return false
 }
 
-// slotAt returns set si's way-th entry, materializing storage up to it. Only
-// snapshot restore addresses slots directly; Insert grows sets itself.
-func (b *Borrowed) slotAt(si, way int) *bentry {
-	if b.table == nil {
-		b.table = make(map[uint32][]bentry, 8)
-	}
-	set := b.table[uint32(si)]
-	for len(set) <= way {
-		set = append(set, bentry{})
-	}
-	b.table[uint32(si)] = set
-	return &set[way]
-}
-
 // Insert adds or updates key→value. If the set is full, the LRU entry is
 // evicted and returned.
 //

@@ -1,21 +1,18 @@
 package metadata
 
-import (
-	"fmt"
-
-	"ndpbridge/internal/checkpoint"
-)
+import "ndpbridge/internal/checkpoint"
 
 // This file is the migration-metadata serialization boundary. Both
 // structures encode their complete state — including the Borrowed table's
-// LRU clock, which steers future evictions and therefore must survive a
-// snapshot for the restored run to stay deterministic.
+// LRU clock, which steers future evictions, so a replay whose eviction order
+// drifted shows in the state digest.
 
 // SnapshotTo encodes the bitmap sparsely: the shape (blocks, shift, word
-// count) for validation on restore, then only the nonzero words with their
-// index. A unit rarely lends more than a few dozen blocks out of a bank's
-// few hundred thousand, so this keeps the per-unit bitmap contribution to a
-// snapshot near zero instead of bank-capacity-proportional.
+// count), so bitmaps of different shapes never digest alike, then only the
+// nonzero words with their index. A unit rarely lends more than a few dozen
+// blocks out of a bank's few hundred thousand, so this keeps the per-unit
+// bitmap contribution to a snapshot near zero instead of
+// bank-capacity-proportional.
 func (l *IsLent) SnapshotTo(e *checkpoint.Enc) {
 	e.U64(l.blocks)
 	e.U64(uint64(l.blockShift))
@@ -43,48 +40,11 @@ func (l *IsLent) SnapshotTo(e *checkpoint.Enc) {
 	e.I64(int64(l.lentCount))
 }
 
-// RestoreFrom rebuilds the bitmap from a SnapshotTo stream. The shape must
-// match the receiver's. All words not listed in the snapshot are cleared.
-func (l *IsLent) RestoreFrom(d *checkpoint.Dec) error {
-	blocks := d.U64()
-	shift := uint(d.U64())
-	n := d.U32()
-	if d.Err() == nil && (blocks != l.blocks || shift != l.blockShift || int(n) != l.words()) {
-		return fmt.Errorf("metadata: isLent snapshot shape (%d blocks, shift %d, %d words) does not match (%d, %d, %d)",
-			blocks, shift, n, l.blocks, l.blockShift, l.words())
-	}
-	nz := d.U32()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if int(nz) > l.words() {
-		return fmt.Errorf("metadata: isLent snapshot has %d nonzero words for a %d-word bitmap", nz, l.words())
-	}
-	for i := range l.bits {
-		l.bits[i] = 0
-	}
-	if nz > 0 && l.bits == nil {
-		l.bits = make([]uint64, l.words())
-	}
-	for k := uint32(0); k < nz; k++ {
-		idx := d.U32()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if int(idx) >= len(l.bits) {
-			return fmt.Errorf("metadata: isLent snapshot word %d names bad index %d", k, idx)
-		}
-		l.bits[idx] = d.U64()
-	}
-	l.lentCount = int(d.I64())
-	return d.Err()
-}
-
-// SnapshotTo encodes the set-associative table sparsely: geometry for
-// validation, the LRU clock, then only the valid entries with their physical
-// slot index. Invalid slots carry no behavioral state (Insert chooses victims
-// by validity and LRU alone, Remove zeroes the slot), so restoring them as
-// zero is exact — and the tables are sized for the paper's full-scale
+// SnapshotTo encodes the set-associative table sparsely: geometry, the LRU
+// clock, then only the valid entries with their physical slot index. Invalid
+// slots carry no behavioral state (Insert chooses victims by validity and LRU
+// alone, Remove zeroes the slot), so leaving them out hides nothing from the
+// digest — and the tables are sized for the paper's full-scale
 // machine, so walking only the occupied slots keeps snapshots cheap when the
 // tables are mostly empty. Slot index order is the physical layout, so no
 // sorting is needed for determinism.
@@ -107,47 +67,4 @@ func (b *Borrowed) SnapshotTo(e *checkpoint.Enc) {
 			}
 		}
 	}
-}
-
-// RestoreFrom rebuilds the table from a SnapshotTo stream. The geometry
-// must match the receiver's. All slots not listed in the snapshot are
-// cleared.
-func (b *Borrowed) RestoreFrom(d *checkpoint.Dec) error {
-	sets := int(d.I64())
-	ways := int(d.I64())
-	if d.Err() == nil && (sets != b.sets || ways != b.ways) {
-		return fmt.Errorf("metadata: borrowed snapshot geometry %d×%d does not match %d×%d", sets, ways, b.sets, b.ways)
-	}
-	b.clock = d.U64()
-	n := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n > b.sets*b.ways {
-		return fmt.Errorf("metadata: borrowed snapshot has %d entries for a %d-slot table", n, b.sets*b.ways)
-	}
-	for _, set := range b.table {
-		clear(set)
-	}
-	for k := 0; k < n; k++ {
-		slot := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if slot >= b.sets*b.ways {
-			return fmt.Errorf("metadata: borrowed snapshot entry %d names bad slot %d", k, slot)
-		}
-		ent := b.slotAt(slot/b.ways, slot%b.ways)
-		if ent.valid {
-			return fmt.Errorf("metadata: borrowed snapshot entry %d names duplicate slot %d", k, slot)
-		}
-		*ent = bentry{
-			valid: true,
-			key:   d.U64(),
-			value: d.U64(),
-			lru:   d.U64(),
-		}
-	}
-	b.used = n
-	return d.Err()
 }

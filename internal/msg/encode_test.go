@@ -30,9 +30,9 @@ func TestEncodeDecodeTask(t *testing.T) {
 }
 
 func TestEncodeDecodeData(t *testing.T) {
-	for _, m := range SplitData(2, 3, 0xc0ffee00, 300) {
+	for _, m := range NewPool().SplitDataInto(nil, 2, 3, 0xc0ffee00, 300) {
 		got := roundTrip(t, m)
-		if !reflect.DeepEqual(m, got) {
+		if !reflect.DeepEqual(m.Clone(), got) {
 			t.Errorf("round trip mismatch: %+v vs %+v", m, got)
 		}
 	}
@@ -82,7 +82,9 @@ func TestDecodeStream(t *testing.T) {
 		NewTask(0, 1, task.New(1, 0, 0x10, 5)),
 		NewState(1, 0, State{WQueue: 3}),
 	}
-	msgs = append(msgs, SplitData(2, 3, 0x2000, 100)...)
+	for _, m := range NewPool().SplitDataInto(nil, 2, 3, 0x2000, 100) {
+		msgs = append(msgs, m.Clone()) // the decoder returns unpooled messages
+	}
 	for _, m := range msgs {
 		buf = Encode(buf, m)
 	}

@@ -199,36 +199,6 @@ func NewState(src, dst int, s State) *Message {
 	return &Message{Type: TypeState, Src: src, Dst: dst, State: &s}
 }
 
-// SplitData splits a data block of length n at home address blockAddr into
-// the minimal sequence of data sub-messages, each carrying at most
-// MaxDataPayload bytes (Section V-B: "If a message is too large, we divide it
-// into multiple small sub-messages. The index field indicates such a
-// sequence.").
-func SplitData(src, dst int, blockAddr uint64, n uint32) []*Message {
-	if n == 0 {
-		return nil
-	}
-	total := int((n + MaxDataPayload - 1) / MaxDataPayload)
-	if total > 255 {
-		panic(fmt.Sprintf("msg: data block of %d bytes needs %d sub-messages (max 255)", n, total))
-	}
-	out := make([]*Message, 0, total)
-	remaining := n
-	for i := 0; i < total; i++ {
-		chunk := uint32(MaxDataPayload)
-		if remaining < chunk {
-			chunk = remaining
-		}
-		out = append(out, &Message{
-			Type: TypeData, Src: src, Dst: dst,
-			Index: uint8(i), Total: uint8(total),
-			BlockAddr: blockAddr, ChunkLen: chunk,
-		})
-		remaining -= chunk
-	}
-	return out
-}
-
 // TotalSize sums the wire sizes of a message slice.
 func TotalSize(ms []*Message) uint64 {
 	var s uint64

@@ -22,7 +22,7 @@ func TestTaskMessageSize(t *testing.T) {
 }
 
 func TestSplitData(t *testing.T) {
-	ms := SplitData(3, 4, 0x4000, 256)
+	ms := NewPool().SplitDataInto(nil, 3, 4, 0x4000, 256)
 	wantTotal := (256 + MaxDataPayload - 1) / MaxDataPayload
 	if len(ms) != wantTotal {
 		t.Fatalf("split into %d, want %d", len(ms), wantTotal)
@@ -46,7 +46,7 @@ func TestSplitData(t *testing.T) {
 }
 
 func TestSplitDataEmpty(t *testing.T) {
-	if ms := SplitData(0, 1, 0, 0); ms != nil {
+	if ms := NewPool().SplitDataInto(nil, 0, 1, 0, 0); ms != nil {
 		t.Errorf("empty split should be nil, got %d", len(ms))
 	}
 }
@@ -56,7 +56,7 @@ func TestRouteAddr(t *testing.T) {
 	if a, ok := tm.RouteAddr(); !ok || a != 0xabc {
 		t.Error("task RouteAddr wrong")
 	}
-	dm := SplitData(0, 1, 0xdef00, 10)[0]
+	dm := NewPool().SplitDataInto(nil, 0, 1, 0xdef00, 10)[0]
 	if a, ok := dm.RouteAddr(); !ok || a != 0xdef00 {
 		t.Error("data RouteAddr wrong")
 	}
@@ -84,7 +84,7 @@ func TestStateSize(t *testing.T) {
 func TestSplitDataProperty(t *testing.T) {
 	f := func(nRaw uint16) bool {
 		n := uint32(nRaw)%8192 + 1
-		ms := SplitData(0, 1, 0x1000, n)
+		ms := NewPool().SplitDataInto(nil, 0, 1, 0x1000, n)
 		var sum uint32
 		for i, m := range ms {
 			if int(m.Index) != i || int(m.Total) != len(ms) {

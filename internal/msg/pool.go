@@ -123,9 +123,12 @@ func (p *Pool) NewTaskIn(src, dst int, t task.Task) *Message {
 	return m
 }
 
-// SplitDataInto is SplitData backed by the pool, appending the sub-messages
-// to buf (usually a reused scratch slice) instead of allocating a fresh
-// slice and fresh Messages per call.
+// SplitDataInto splits a data block of length n at home address blockAddr
+// into the minimal sequence of data sub-messages, each carrying at most
+// MaxDataPayload bytes (Section V-B: "If a message is too large, we divide it
+// into multiple small sub-messages. The index field indicates such a
+// sequence."). The sub-messages come from the pool and are appended to buf
+// (usually a reused scratch slice); a zero-length block appends nothing.
 //
 //ndplint:hotpath
 func (p *Pool) SplitDataInto(buf []*Message, src, dst int, blockAddr uint64, n uint32) []*Message {

@@ -45,7 +45,7 @@ type Retrans struct {
 
 	entries []rentry
 	bytes   uint64
-	armed   bool //ndplint:nosnap deliberately not encoded; RestoreFrom re-arms the sweep
+	armed   bool //ndplint:nosnap mirrors a sweep event queued on the engine; snapshots record engine position, not events
 	st      RetransStats
 
 	// jrng, when set via SetJitter, randomizes backed-off deadlines so that

@@ -3,14 +3,12 @@ package msg
 import (
 	"testing"
 
-	"ndpbridge/internal/checkpoint"
 	"ndpbridge/internal/sim"
 )
 
-// Watermark edge cases and checkpoint-restore behavior of the retransmit
-// buffer. The watermark is a strict threshold: Full() reports bytes > limit,
-// so a buffer filled to exactly the watermark still admits traffic — these
-// tests pin that boundary down.
+// Watermark edge cases of the retransmit buffer. The watermark is a strict
+// threshold: Full() reports bytes > limit, so a buffer filled to exactly the
+// watermark still admits traffic — these tests pin that boundary down.
 
 func stateMsg(seq uint32) *Message {
 	// TypeState with nil payload has a fixed, known wire size.
@@ -82,55 +80,5 @@ func TestRetransBackoffCapSaturation(t *testing.T) {
 	}
 	if r.Stats().Retries != uint64(len(sent)) {
 		t.Errorf("retries stat %d, want %d", r.Stats().Retries, len(sent))
-	}
-}
-
-func TestRetransRetransmitAfterRestore(t *testing.T) {
-	// A retransmit buffer snapshotted with pending entries must, after
-	// restore into a fresh engine, still time out and resend them.
-	eng1 := sim.NewEngine()
-	r1 := NewRetrans(eng1, 10, 80, 1<<20, func(*Message) {})
-	r1.Track(stateMsg(7))
-	r1.Track(stateMsg(8))
-	r1.Ack(7)
-
-	var e checkpoint.Enc
-	r1.SnapshotTo(&e)
-
-	eng2 := sim.NewEngine()
-	var resent []uint32
-	r2 := NewRetrans(eng2, 10, 80, 1<<20, func(m *Message) { resent = append(resent, m.Seq) })
-	if err := r2.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
-		t.Fatal(err)
-	}
-	if r2.Len() != 1 || r2.Bytes() != r1.Bytes() {
-		t.Fatalf("restored len=%d bytes=%d, want 1, %d", r2.Len(), r2.Bytes(), r1.Bytes())
-	}
-	st := r2.Stats()
-	if st.Tracked != 2 || st.Acked != 1 {
-		t.Errorf("restored stats %+v", st)
-	}
-
-	// The restored deadline (absolute cycle 10) fires in the new engine.
-	eng2.RunUntil(50)
-	if len(resent) == 0 {
-		t.Fatal("no retransmission after restore")
-	}
-	if resent[0] != 8 {
-		t.Errorf("resent seq %d, want 8", resent[0])
-	}
-	// The acked message must never come back.
-	for _, s := range resent {
-		if s == 7 {
-			t.Error("acked message retransmitted after restore")
-		}
-	}
-
-	// Late ack drains the restored entry and stops the resend stream.
-	r2.Ack(8)
-	n := len(resent)
-	eng2.RunUntil(1000)
-	if len(resent) != n {
-		t.Errorf("retransmissions continued after ack: %d → %d", n, len(resent))
 	}
 }

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"testing"
 
 	"ndpbridge/internal/checkpoint"
@@ -116,35 +117,55 @@ func TestRetransJitterDesynchronizesStorms(t *testing.T) {
 	}
 }
 
-func TestRetransJitterSnapshotRoundTrip(t *testing.T) {
-	// The jitter stream position must survive a snapshot/restore cycle so a
-	// restored run retransmits at the same jittered deadlines.
-	eng := sim.NewEngine()
-	r := NewRetrans(eng, 10, 1<<10, 1<<20, func(m *Message) {})
-	r.SetJitter(JitterSeed(2, 7))
-	r.Track(taskMsg(1))
-	eng.RunUntil(100) // advance the jitter stream through a few resends
-	enc := checkpoint.NewEnc(nil)
-	r.SnapshotTo(enc)
-	r2 := NewRetrans(sim.NewEngine(), 10, 1<<10, 1<<20, func(m *Message) {})
-	if err := r2.RestoreFrom(checkpoint.NewDec(enc.Data())); err != nil {
-		t.Fatal(err)
+func TestRetransJitterSnapshotEncoding(t *testing.T) {
+	// build tracks two messages and runs the sweep through a few resends,
+	// advancing the jitter stream when jitter is on (seed != 0).
+	build := func(seed uint64) *Retrans {
+		eng := sim.NewEngine()
+		r := NewRetrans(eng, 10, 1<<10, 1<<20, func(m *Message) {})
+		if seed != 0 {
+			r.SetJitter(seed)
+		}
+		r.Track(taskMsg(1))
+		r.Track(taskMsg(2))
+		eng.RunUntil(100)
+		return r
 	}
-	if r2.jrng == nil || r2.jrng.State() != r.jrng.State() {
-		t.Fatalf("jitter state not restored: %+v vs %+v", r2.jrng, r.jrng)
+	encode := func(r *Retrans) []byte {
+		enc := checkpoint.NewEnc(nil)
+		r.SnapshotTo(enc)
+		return enc.Data()
 	}
-	// A buffer without jitter round-trips to a buffer without jitter.
-	r3 := NewRetrans(sim.NewEngine(), 10, 1<<10, 1<<20, func(m *Message) {})
-	r3.Track(taskMsg(2))
-	enc2 := checkpoint.NewEnc(nil)
-	r3.SnapshotTo(enc2)
-	r4 := NewRetrans(sim.NewEngine(), 10, 1<<10, 1<<20, func(m *Message) {})
-	r4.SetJitter(1) // restore must clear it
-	if err := r4.RestoreFrom(checkpoint.NewDec(enc2.Data())); err != nil {
-		t.Fatal(err)
+	seed := JitterSeed(2, 7)
+	ref := build(seed)
+	if ref.Stats().Retries == 0 {
+		t.Fatal("no resend; the jitter stream never advanced")
 	}
-	if r4.jrng != nil {
-		t.Fatal("restore of jitter-free snapshot left jitter enabled")
+	want := encode(ref)
+	if !bytes.Equal(encode(build(seed)), want) {
+		t.Fatal("identical buffers encode differently")
+	}
+	for name, r := range map[string]*Retrans{
+		"jitter off":  build(0),
+		"jitter seed": build(JitterSeed(2, 8)),
+	} {
+		if bytes.Equal(encode(r), want) {
+			t.Errorf("%s: encoding unchanged", name)
+		}
+	}
+	for name, mutate := range map[string]func(*Retrans){
+		"jitter position": func(r *Retrans) { r.jrng.Uint64() },
+		"ack":             func(r *Retrans) { r.Ack(1) },
+		"deadline":        func(r *Retrans) { r.entries[0].deadline++ },
+		"backoff":         func(r *Retrans) { r.entries[0].rto++ },
+		"bytes":           func(r *Retrans) { r.bytes++ },
+		"retries":         func(r *Retrans) { r.st.Retries++ },
+	} {
+		r := build(seed)
+		mutate(r)
+		if bytes.Equal(encode(r), want) {
+			t.Errorf("%s: encoding unchanged", name)
+		}
 	}
 }
 

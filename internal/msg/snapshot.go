@@ -4,13 +4,12 @@ import (
 	"sort"
 
 	"ndpbridge/internal/checkpoint"
-	"ndpbridge/internal/sim"
 	"ndpbridge/internal/task"
 )
 
 // This file is the message layer's serialization boundary. Unlike the wire
 // codec (encode.go), which models the hardware's 64-byte format, the
-// snapshot codec is full fidelity: it captures every field of a Message —
+// snapshot encoding is full fidelity: it captures every field of a Message —
 // including simulator-side metadata like StagedAt, Round, and the retry
 // Seq/Sum — so checkpoints and the state-digest audit see exactly the state
 // the simulator holds. The retry structures (Retrans, Dedup) serialize here
@@ -46,43 +45,10 @@ func EncodeSnapshot(e *checkpoint.Enc, m *Message) {
 	}
 }
 
-// DecodeSnapshot reads one message from d. On decode error it returns a
-// partially filled message; the caller checks d.Err().
-func DecodeSnapshot(d *checkpoint.Dec) *Message {
-	m := &Message{}
-	m.Type = Type(d.U8())
-	m.Src = int(d.I64())
-	m.Dst = int(d.I64())
-	m.Index = d.U8()
-	m.Total = d.U8()
-	m.Sched = d.Bool()
-	m.Round = d.U32()
-	m.Escalate = d.Bool()
-	m.StagedAt = d.U64()
-	m.Seq = d.U32()
-	m.Sum = d.U32()
-	m.Task = task.DecodeTask(d)
-	m.BlockAddr = d.U64()
-	m.ChunkLen = d.U32()
-	if d.Bool() {
-		st := &State{
-			LMailbox:  d.U64(),
-			WQueue:    d.U64(),
-			WFinished: d.U64(),
-		}
-		n := d.U32()
-		for i := uint32(0); i < n && d.Err() == nil; i++ {
-			st.SchedList = append(st.SchedList, SchedOut{BlockAddr: d.U64(), Workload: d.U64()})
-		}
-		m.State = st
-	}
-	return m
-}
-
 // SnapshotTo encodes the retransmit buffer: every pending entry (message,
 // absolute deadline, current backoff), the watermark accounting, and the
-// stats. The armed flag is not encoded — RestoreFrom re-arms the sweep
-// against the restored deadlines.
+// stats. The armed flag is not encoded: it mirrors a sweep event queued on
+// the engine, and snapshots record the engine's position, not its events.
 func (r *Retrans) SnapshotTo(e *checkpoint.Enc) {
 	e.U32(uint32(len(r.entries)))
 	for i := range r.entries {
@@ -104,43 +70,6 @@ func (r *Retrans) SnapshotTo(e *checkpoint.Enc) {
 	}
 }
 
-// RestoreFrom rebuilds the buffer from a SnapshotTo stream, replacing the
-// current entries, and re-arms the timeout sweep if entries are pending.
-// Deadlines are absolute cycles, so the engine must be at or before the
-// snapshot's clock.
-func (r *Retrans) RestoreFrom(d *checkpoint.Dec) error {
-	n := d.U32()
-	r.entries = r.entries[:0]
-	for i := uint32(0); i < n; i++ {
-		m := DecodeSnapshot(d)
-		deadline := sim.Cycles(d.U64())
-		rto := sim.Cycles(d.U64())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		r.entries = append(r.entries, rentry{m: m, deadline: deadline, rto: rto})
-	}
-	r.bytes = d.U64()
-	r.st.Tracked = d.U64()
-	r.st.Acked = d.U64()
-	r.st.Nacked = d.U64()
-	r.st.Retries = d.U64()
-	if js := d.U64(); js != 0 {
-		if r.jrng == nil {
-			r.jrng = sim.NewRNG(js)
-		}
-		r.jrng.SetState(js)
-	} else {
-		r.jrng = nil
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	r.armed = false
-	r.arm()
-	return nil
-}
-
 // SnapshotTo encodes the duplicate filter: floor, the out-of-order seen set
 // in ascending order, and the duplicate count.
 func (f *Dedup) SnapshotTo(e *checkpoint.Enc) {
@@ -155,21 +84,6 @@ func (f *Dedup) SnapshotTo(e *checkpoint.Enc) {
 		e.U32(s)
 	}
 	e.U64(f.dups)
-}
-
-// RestoreFrom rebuilds the filter from a SnapshotTo stream.
-func (f *Dedup) RestoreFrom(d *checkpoint.Dec) error {
-	f.floor = d.U32()
-	n := d.U32()
-	f.seen = nil
-	if n > 0 {
-		f.seen = make(map[uint32]struct{}, n)
-		for i := uint32(0); i < n; i++ {
-			f.seen[d.U32()] = struct{}{}
-		}
-	}
-	f.dups = d.U64()
-	return d.Err()
 }
 
 // Floor returns the highest in-order sequence number accepted, for the

@@ -178,7 +178,8 @@ func TestUnitBorrowedDataFlow(t *testing.T) {
 	u := New(2, env, sim.NewRNG(1))
 	// Lend block of unit 1 to unit 2: deliver data messages then the task.
 	blk := env.amap.Base(1) + 512
-	for _, dm := range msg.SplitData(1, 2, blk, uint32(env.cfg.GXfer)) {
+	// Split from the unit's own pool, which it recycles delivered data into.
+	for _, dm := range u.pool.SplitDataInto(nil, 1, 2, blk, uint32(env.cfg.GXfer)) {
 		env.MsgStaged()
 		u.Deliver(dm)
 	}
@@ -261,7 +262,8 @@ func TestUnitReturnDataClearsIsLent(t *testing.T) {
 	}
 	// Return data messages arrive home.
 	blk := dram.BlockAlign(addr, env.cfg.GXfer)
-	for _, dm := range msg.SplitData(3, 0, blk, uint32(env.cfg.GXfer)) {
+	// Split from the unit's own pool, which it recycles delivered data into.
+	for _, dm := range u.pool.SplitDataInto(nil, 3, 0, blk, uint32(env.cfg.GXfer)) {
 		env.MsgStaged()
 		u.Deliver(dm)
 	}

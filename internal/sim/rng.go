@@ -73,16 +73,7 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xa5a5a5a55a5a5a5a)
 }
 
-// State returns the generator's position in its stream. Together with
-// SetState it is the RNG's serialization boundary: a restored generator
-// continues the exact sequence the snapshotted one would have produced.
+// State returns the generator's position in its stream, the RNG's
+// serialization boundary: the position alone determines every later draw, so
+// encoding it puts the rest of the stream into a state digest.
 func (r *RNG) State() uint64 { return r.state }
-
-// SetState repositions the generator. A zero state is remapped like a zero
-// seed so the stream can never stick at zero.
-func (r *RNG) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	r.state = s
-}

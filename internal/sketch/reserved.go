@@ -14,7 +14,7 @@ type ReservedQueue struct {
 	chunkTasks  int // tasks per chunk (G_xfer / task record size)
 	freeChunks  int
 	totalChunks int
-	total       int //ndplint:nosnap derived; summed task count, rebuilt on restore
+	total       int //ndplint:nosnap derived; the sum of the encoded per-block task counts
 
 	blocks map[uint64]*blockList
 	order  []uint64 // insertion order, for deterministic Drain
@@ -81,20 +81,6 @@ func (r *ReservedQueue) Add(block uint64, t task.Task) bool {
 	bl.tasks = append(bl.tasks, t)
 	r.total++
 	return true
-}
-
-// Take removes and returns all tasks reserved under block, freeing its
-// chunks. Ownership of the returned slice transfers to the caller; hot paths
-// should prefer TakeAppend, which recycles the internal storage.
-func (r *ReservedQueue) Take(block uint64) []task.Task {
-	bl := r.blocks[block]
-	if bl == nil {
-		return nil
-	}
-	delete(r.blocks, block)
-	r.freeChunks += bl.chunks
-	r.total -= len(bl.tasks)
-	return bl.tasks
 }
 
 // TakeAppend appends block's reserved tasks to dst, frees its chunks, and

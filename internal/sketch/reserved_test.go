@@ -23,20 +23,36 @@ func TestReservedAddTake(t *testing.T) {
 	if r.Workload(0x100) != 12 {
 		t.Errorf("Workload = %d, want 12", r.Workload(0x100))
 	}
-	got := r.Take(0x100)
+	got := r.TakeAppend(nil, 0x100)
 	if len(got) != 6 {
-		t.Fatalf("Take returned %d", len(got))
+		t.Fatalf("TakeAppend returned %d", len(got))
 	}
 	for i, tk := range got {
 		if tk.Addr != uint64(i) {
 			t.Errorf("order broken at %d", i)
 		}
 	}
-	if r.FreeChunks() != 10 {
-		t.Errorf("chunks not freed: %d", r.FreeChunks())
+	if r.FreeChunks() != 10 || r.Total() != 0 {
+		t.Errorf("chunks not freed: %d free, %d total", r.FreeChunks(), r.Total())
 	}
-	if r.Take(0x100) != nil {
-		t.Error("second Take should be empty")
+	if again := r.TakeAppend(nil, 0x100); again != nil {
+		t.Error("second TakeAppend should append nothing")
+	}
+
+	// TakeAppend parks the block's storage for reuse; the tasks it handed
+	// out must not change when a later Add recycles that storage.
+	for i := uint64(0); i < 6; i++ {
+		r.Add(0x200, task.New(0, 0, 100+i, 3))
+	}
+	for i, tk := range got {
+		if tk.Addr != uint64(i) || tk.Workload != 2 {
+			t.Fatalf("taken task %d overwritten by a later Add: %+v", i, tk)
+		}
+	}
+	// Tasks append after what dst already holds.
+	prefix := []task.Task{task.New(0, 0, 99, 1)}
+	if out := r.TakeAppend(prefix, 0x200); len(out) != 7 || out[0] != prefix[0] || out[1].Addr != 100 {
+		t.Errorf("TakeAppend onto a prefix = %+v", out)
 	}
 }
 
@@ -54,7 +70,9 @@ func TestReservedExhaustion(t *testing.T) {
 	if r.Add(0xb, task.New(0, 0, 9, 1)) {
 		t.Error("new block with no free chunk must fail")
 	}
-	r.Take(0xa)
+	if got := r.TakeAppend(nil, 0xa); len(got) != 4 {
+		t.Fatalf("TakeAppend returned %d tasks, want 4", len(got))
+	}
 	if !r.Add(0xb, task.New(0, 0, 9, 1)) {
 		t.Error("Add after free must succeed")
 	}

@@ -1,20 +1,18 @@
 package sketch
 
 import (
-	"fmt"
-
 	"ndpbridge/internal/checkpoint"
 	"ndpbridge/internal/task"
 )
 
 // This file is the sketch layer's serialization boundary: the heavy-hitter
-// sketch (bucket tables plus its private RNG stream position — probabilistic
-// decay must resume mid-stream for determinism) and the reserved task queue
-// (blocks in insertion order, so the byte stream is independent of map
-// iteration order).
+// sketch (bucket tables plus its private RNG stream position, which decides
+// every later probabilistic decay) and the reserved task queue (blocks in
+// insertion order, so the byte stream is independent of map iteration
+// order).
 
-// SnapshotTo encodes the sketch: shape for validation, every bucket's
-// entries in slot order, the decay RNG position, and the counters.
+// SnapshotTo encodes the sketch: its shape, every bucket's entries in slot
+// order, the decay RNG position, and the counters.
 func (s *Sketch) SnapshotTo(e *checkpoint.Enc) {
 	e.I64(int64(s.buckets))
 	e.I64(int64(s.entries))
@@ -28,30 +26,6 @@ func (s *Sketch) SnapshotTo(e *checkpoint.Enc) {
 	e.U64(s.rng.State())
 	e.U64(s.inserted)
 	e.U64(s.decays)
-}
-
-// RestoreFrom rebuilds the sketch from a SnapshotTo stream. The shape must
-// match the receiver's.
-func (s *Sketch) RestoreFrom(d *checkpoint.Dec) error {
-	buckets := int(d.I64())
-	entries := int(d.I64())
-	if d.Err() == nil && (buckets != s.buckets || entries != s.entries) {
-		return fmt.Errorf("sketch: snapshot shape %d×%d does not match %d×%d", buckets, entries, s.buckets, s.entries)
-	}
-	for i := range s.table {
-		n := d.U32()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		s.table[i] = s.table[i][:0]
-		for j := uint32(0); j < n; j++ {
-			s.table[i] = append(s.table[i], Entry{Addr: d.U64(), Workload: d.U64()})
-		}
-	}
-	s.rng.SetState(d.U64())
-	s.inserted = d.U64()
-	s.decays = d.U64()
-	return d.Err()
 }
 
 // SnapshotTo encodes the reserved queue: chunk accounting plus every live
@@ -79,35 +53,4 @@ func (r *ReservedQueue) SnapshotTo(e *checkpoint.Enc) {
 			task.EncodeTask(e, t)
 		}
 	}
-}
-
-// RestoreFrom rebuilds the reserved queue from a SnapshotTo stream. The
-// chunk shape must match the receiver's.
-func (r *ReservedQueue) RestoreFrom(d *checkpoint.Dec) error {
-	chunkTasks := int(d.I64())
-	totalChunks := int(d.I64())
-	if d.Err() == nil && (chunkTasks != r.chunkTasks || totalChunks != r.totalChunks) {
-		return fmt.Errorf("sketch: reserved-queue snapshot shape (%d, %d) does not match (%d, %d)",
-			chunkTasks, totalChunks, r.chunkTasks, r.totalChunks)
-	}
-	r.freeChunks = int(d.I64())
-	n := d.U32()
-	r.blocks = make(map[uint64]*blockList, n)
-	r.order = r.order[:0]
-	r.total = 0
-	for i := uint32(0); i < n; i++ {
-		b := d.U64()
-		bl := &blockList{chunks: int(d.I64())}
-		cnt := d.U32()
-		for j := uint32(0); j < cnt; j++ {
-			bl.tasks = append(bl.tasks, task.DecodeTask(d))
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		r.blocks[b] = bl
-		r.order = append(r.order, b)
-		r.total += len(bl.tasks)
-	}
-	return d.Err()
 }

@@ -9,77 +9,131 @@ import (
 	"ndpbridge/internal/task"
 )
 
-func TestSketchSnapshotRoundTrip(t *testing.T) {
-	s := New(8, 4, 1.08, sim.NewRNG(42))
-	for i := uint64(0); i < 200; i++ {
-		s.Observe((i%30)<<8, 10+i%7)
-	}
+type snapshotter interface{ SnapshotTo(*checkpoint.Enc) }
 
+func encode(s snapshotter) []byte {
 	var e checkpoint.Enc
 	s.SnapshotTo(&e)
+	return e.Data()
+}
 
-	r := New(8, 4, 1.08, sim.NewRNG(999))
-	if err := r.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
-		t.Fatal(err)
+func TestSketchSnapshotEncoding(t *testing.T) {
+	build := func(buckets int) *Sketch {
+		s := New(buckets, 4, 1.08, sim.NewRNG(42))
+		for i := uint64(0); i < 200; i++ {
+			s.Observe((i%30)<<8, 10+i%7)
+		}
+		return s
 	}
-	if r.Len() != s.Len() || r.TrackedWorkload() != s.TrackedWorkload() || r.InsertedWorkload() != s.InsertedWorkload() {
-		t.Errorf("restored len=%d tracked=%d inserted=%d, want %d, %d, %d",
-			r.Len(), r.TrackedWorkload(), r.InsertedWorkload(), s.Len(), s.TrackedWorkload(), s.InsertedWorkload())
+	ref := build(8)
+	want := encode(ref)
+	if !bytes.Equal(encode(build(8)), want) {
+		t.Fatal("identical sketches encode differently")
 	}
-	h1, ok1 := s.Hottest()
-	h2, ok2 := r.Hottest()
-	if ok1 != ok2 || h1 != h2 {
-		t.Errorf("hottest diverged: %+v,%v vs %+v,%v", h1, ok1, h2, ok2)
+	hot, ok := ref.Hottest()
+	if !ok {
+		t.Fatal("empty sketch")
 	}
-	// The decay RNG position survives: identical future observations keep
-	// the two sketches identical (probabilistic decay replays bit-for-bit).
+	for name, mutate := range map[string]func(*Sketch){
+		"rng position": func(s *Sketch) { s.rng.Uint64() },
+		"observation":  func(s *Sketch) { s.Observe(hot.Addr, 1) },
+		"removal":      func(s *Sketch) { s.Remove(hot.Addr) },
+		"inserted":     func(s *Sketch) { s.inserted++ },
+		"decays":       func(s *Sketch) { s.decays++ },
+	} {
+		s := build(8)
+		mutate(s)
+		if bytes.Equal(encode(s), want) {
+			t.Errorf("%s: encoding unchanged", name)
+		}
+	}
+	if bytes.Equal(encode(build(4)), want) {
+		t.Error("sketches of different shape encode alike")
+	}
+
+	// Probabilistic decay draws from the encoded RNG position, so sketches
+	// that encode alike stay alike under the same future observations.
+	a, b := build(8), build(8)
 	for i := uint64(0); i < 500; i++ {
-		s.Observe((i%60)<<8, 5)
-		r.Observe((i%60)<<8, 5)
+		a.Observe((i%60)<<8, 5)
+		b.Observe((i%60)<<8, 5)
 	}
-	var a, b checkpoint.Enc
-	s.SnapshotTo(&a)
-	r.SnapshotTo(&b)
-	if !bytes.Equal(a.Data(), b.Data()) {
-		t.Fatal("sketches diverged after restore — decay RNG position lost")
+	if a.decays == ref.decays {
+		t.Fatal("no decay fired; the probe exercises nothing")
 	}
-
-	bad := New(4, 4, 1.08, sim.NewRNG(1))
-	var e2 checkpoint.Enc
-	s.SnapshotTo(&e2)
-	if err := bad.RestoreFrom(checkpoint.NewDec(e2.Data())); err == nil {
-		t.Fatal("shape mismatch not rejected")
+	if !bytes.Equal(encode(a), encode(b)) {
+		t.Fatal("equal sketches diverged under equal observations")
 	}
 }
 
-func TestReservedQueueSnapshotRoundTrip(t *testing.T) {
-	q := NewReservedQueue(8, 2)
+func TestReservedQueueSnapshotEncoding(t *testing.T) {
+	type add struct {
+		block uint64
+		t     task.Task
+	}
+	var adds []add
 	for i := 0; i < 10; i++ {
 		blk := uint64(i%3) << 12
-		if !q.Add(blk, task.Task{TS: 1, Addr: blk + uint64(i), Workload: uint32(i + 1)}) {
-			t.Fatalf("add %d failed", i)
+		adds = append(adds, add{blk, task.Task{TS: 1, Addr: blk + uint64(i), Workload: uint32(i + 1)}})
+	}
+	build := func(adds []add) *ReservedQueue {
+		q := NewReservedQueue(8, 2)
+		for _, a := range adds {
+			if !q.Add(a.block, a.t) {
+				t.Fatalf("add %+v failed", a)
+			}
+		}
+		return q
+	}
+	without := func(blk uint64) []add {
+		var out []add
+		for _, a := range adds {
+			if a.block != blk {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	// A taken block leaves no trace: its stale order entry is skipped and
+	// its chunks are free again.
+	q := build(adds)
+	if got := q.TakeAppend(nil, 1<<12); len(got) == 0 {
+		t.Fatal("nothing reserved under block 1<<12")
+	}
+	want := encode(q)
+	if !bytes.Equal(encode(build(without(1<<12))), want) {
+		t.Fatal("a taken block still shows in the encoding")
+	}
+
+	reordered := without(1 << 12)
+	reordered[0], reordered[1] = reordered[1], reordered[0] // blocks 0 and 2 swap first use
+	heavier := without(1 << 12)
+	heavier[2].t.Workload++
+	for name, q := range map[string]*ReservedQueue{
+		"block order":   build(reordered),
+		"task workload": build(heavier),
+		"one more task": build(append(without(1<<12), add{2 << 12, task.Task{TS: 1}})),
+		"one more block": func() *ReservedQueue {
+			q := build(without(1 << 12))
+			q.Add(5<<12, task.Task{TS: 1})
+			return q
+		}(),
+	} {
+		if bytes.Equal(encode(q), want) {
+			t.Errorf("%s: encoding unchanged", name)
 		}
 	}
-	q.Take(1 << 12) // free one block so order has a stale entry
-
-	var e checkpoint.Enc
-	q.SnapshotTo(&e)
-
-	r := NewReservedQueue(8, 2)
-	if err := r.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
-		t.Fatal(err)
-	}
-	if r.Total() != q.Total() || r.FreeChunks() != q.FreeChunks() {
-		t.Fatalf("restored total=%d free=%d, want %d, %d", r.Total(), r.FreeChunks(), q.Total(), q.FreeChunks())
-	}
-	want := q.Drain()
-	got := r.Drain()
-	if len(got) != len(want) {
-		t.Fatalf("drain lengths %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("drain[%d] = %+v, want %+v", i, got[i], want[i])
+	for name, mutate := range map[string]func(*ReservedQueue){
+		"free chunks":  func(q *ReservedQueue) { q.freeChunks-- },
+		"block chunks": func(q *ReservedQueue) { q.blocks[0].chunks++ },
+	} {
+		q := build(without(1 << 12))
+		mutate(q)
+		if bytes.Equal(encode(q), want) {
+			t.Errorf("%s: encoding unchanged", name)
 		}
+	}
+	if bytes.Equal(encode(NewReservedQueue(8, 2)), encode(NewReservedQueue(8, 4))) {
+		t.Error("queues of different chunk shape encode alike")
 	}
 }

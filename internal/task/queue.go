@@ -14,7 +14,7 @@ type Queue struct {
 	// children inherit its epoch, so few epochs are ever live at once and
 	// a linear find is cheaper than a map probe.
 	epochs []*fifo
-	size   int //ndplint:nosnap derived; recomputed by RestoreFrom via Push
+	size   int //ndplint:nosnap derived; the sum of the encoded FIFO lengths
 	// spare recycles emptied per-epoch FIFOs so their backing arrays are
 	// reused across epochs instead of reallocated and regrown every epoch.
 	spare []*fifo //ndplint:nosnap free-list of empty FIFOs, no logical state

@@ -7,58 +7,94 @@ import (
 	"ndpbridge/internal/checkpoint"
 )
 
-func TestTaskCodecRoundTrip(t *testing.T) {
+func encodeTask(t Task) []byte {
+	var e checkpoint.Enc
+	EncodeTask(&e, t)
+	return e.Data()
+}
+
+func encodeQueue(q *Queue) []byte {
+	var e checkpoint.Enc
+	q.SnapshotTo(&e)
+	return e.Data()
+}
+
+func TestEncodeTaskFields(t *testing.T) {
 	in := Task{
 		Func: 7, TS: 3, Addr: 0xdead0000, Workload: 450, NArgs: 2,
 		Args: [MaxArgs]uint64{11, 22}, SpawnedAt: 123456, ID: 42,
 	}
-	var e checkpoint.Enc
-	EncodeTask(&e, in)
-	d := checkpoint.NewDec(e.Data())
-	out := DecodeTask(d)
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	want := encodeTask(in)
+	if !bytes.Equal(encodeTask(in), want) {
+		t.Fatal("repeated encodes differ")
 	}
-	if out != in {
-		t.Errorf("round trip:\n got %+v\nwant %+v", out, in)
+	for name, mutate := range map[string]func(*Task){
+		"Func":      func(tk *Task) { tk.Func++ },
+		"TS":        func(tk *Task) { tk.TS++ },
+		"Addr":      func(tk *Task) { tk.Addr++ },
+		"Workload":  func(tk *Task) { tk.Workload++ },
+		"NArgs":     func(tk *Task) { tk.NArgs++ },
+		"Args[0]":   func(tk *Task) { tk.Args[0]++ },
+		"Args[1]":   func(tk *Task) { tk.Args[1]++ },
+		"SpawnedAt": func(tk *Task) { tk.SpawnedAt++ },
+		"ID":        func(tk *Task) { tk.ID++ },
+	} {
+		got := in
+		mutate(&got)
+		if bytes.Equal(encodeTask(got), want) {
+			t.Errorf("%s: encoding unchanged", name)
+		}
+	}
+	// Trace identity and argument slots past NArgs are not task state.
+	got := in
+	got.Span = 9
+	got.Args[MaxArgs-1] = 33
+	if !bytes.Equal(encodeTask(got), want) {
+		t.Error("Span or an unused argument slot changed the encoding")
 	}
 }
 
-func TestQueueSnapshotRoundTrip(t *testing.T) {
-	q := NewQueue()
-	for i := 0; i < 10; i++ {
-		q.Push(Task{Func: FuncID(i), TS: uint32(i % 3), Addr: uint64(i) << 6, Workload: uint32(100 + i), ID: uint64(i + 1)})
+func TestQueueSnapshotEncoding(t *testing.T) {
+	tasks := make([]Task, 10)
+	for i := range tasks {
+		tasks[i] = Task{Func: FuncID(i), TS: uint32(i % 3), Addr: uint64(i) << 6, Workload: uint32(100 + i), ID: uint64(i + 1)}
 	}
-	// Pop a few so head offsets and workload sums are non-trivial.
+	build := func(ts []Task) *Queue {
+		q := NewQueue()
+		for _, tk := range ts {
+			q.Push(tk)
+		}
+		return q
+	}
+	// Popped tasks leave no trace: a queue that popped the head of epochs 0
+	// and 1 encodes like one that never held those tasks.
+	q := build(tasks)
 	q.Pop(0)
 	q.Pop(1)
-
-	var e checkpoint.Enc
-	q.SnapshotTo(&e)
-
-	r := NewQueue()
-	if err := r.RestoreFrom(checkpoint.NewDec(e.Data())); err != nil {
-		t.Fatal(err)
+	want := encodeQueue(q)
+	if got := encodeQueue(build(tasks[2:])); !bytes.Equal(got, want) {
+		t.Fatal("popped tasks still show in the encoding")
 	}
-	if r.Len() != q.Len() {
-		t.Fatalf("restored len %d, want %d", r.Len(), q.Len())
-	}
-	for _, ts := range []uint32{0, 1, 2} {
-		if r.Workload(ts) != q.Workload(ts) {
-			t.Errorf("epoch %d workload %d, want %d", ts, r.Workload(ts), q.Workload(ts))
-		}
-		for {
-			want, ok1 := q.Pop(ts)
-			got, ok2 := r.Pop(ts)
-			if ok1 != ok2 {
-				t.Fatalf("epoch %d pop availability diverged", ts)
-			}
-			if !ok1 {
-				break
-			}
-			if got != want {
-				t.Fatalf("epoch %d: got %+v, want %+v", ts, got, want)
-			}
+
+	swapped := append([]Task(nil), tasks[2:]...)
+	swapped[1], swapped[4] = swapped[4], swapped[1] // both epoch 0: FIFO order flipped
+	heavier := append([]Task(nil), tasks[2:]...)
+	heavier[0].Workload++
+	moved := append([]Task(nil), tasks[2:]...)
+	moved[0].TS = 7
+	for name, q := range map[string]*Queue{
+		"one more task": build(tasks[1:]),
+		"one fewer task": func() *Queue {
+			q := build(tasks[2:])
+			q.PopTail(2)
+			return q
+		}(),
+		"order in an epoch": build(swapped),
+		"task workload":     build(heavier),
+		"task epoch":        build(moved),
+	} {
+		if bytes.Equal(encodeQueue(q), want) {
+			t.Errorf("%s: encoding unchanged", name)
 		}
 	}
 }
