@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet staticcheck ndplint bench benchdiff
+.PHONY: build test race lint vet staticcheck ndplint bench
 
 build:
 	$(GO) build ./...
@@ -40,9 +40,3 @@ ndplint:
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchtime 100x -benchmem -run xxx ./internal/sim/
 	$(GO) test -run xxx -bench BenchmarkRMAT -benchtime 1x ./internal/workloads/
-
-# benchdiff reruns the small-scale campaign and diffs it against the
-# committed baseline; exits non-zero on a >10% events/sec regression.
-benchdiff:
-	$(GO) run ./cmd/ndpbench -scale small -j 1 -benchjson /tmp/ndpbench-new.json >/dev/null
-	$(GO) run ./cmd/ndpbench -compare results/bench.json /tmp/ndpbench-new.json

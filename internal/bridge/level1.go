@@ -106,8 +106,6 @@ type Level1 struct {
 	mScatter  *metrics.Histogram // bytes moved per non-empty scatter round
 	mLBBudget *metrics.Histogram // workload budget per SCHEDULE command
 	mWQueue   *metrics.Histogram // per-child W_queue at each LB round
-	cLB       *metrics.Counter
-	cWasted   *metrics.Counter
 }
 
 // BindMetrics attaches the bridge's instruments to reg. All level-1 bridges
@@ -117,8 +115,6 @@ func (b *Level1) BindMetrics(reg *metrics.Registry) {
 	b.mScatter = reg.Histogram("scatter_batch_bytes")
 	b.mLBBudget = reg.Histogram("lb_budget_workload")
 	b.mWQueue = reg.Histogram("lb_child_wqueue")
-	b.cLB = reg.Counter("lb_rounds")
-	b.cWasted = reg.Counter("wasted_gathers")
 }
 
 // BackupBytes returns the bytes held in the overflow backup buffer, for the
@@ -285,7 +281,6 @@ func (b *Level1) loadBalance(states []msg.State) {
 	}
 	for _, c := range cmds {
 		b.st.LBRounds++
-		b.cLB.Inc()
 		b.mLBBudget.Observe(c.Budget)
 		round := b.newRound()
 		b.assign[schedKey{c.Giver, round}] = &assignState{receivers: c.Receivers, blockTo: make(map[uint64]int)}
@@ -502,7 +497,6 @@ func (b *Level1) gatherRound() (sim.Cycles, bool) {
 				idx := chip*b.banksPerChip + b.roundIdx%b.banksPerChip
 				b.children[idx].WastedGather()
 				b.st.WastedGathers++
-				b.cWasted.Inc()
 				b.st.BusBytes += cfg.GXfer
 			}
 			continue
@@ -512,7 +506,6 @@ func (b *Level1) gatherRound() (sim.Cycles, bool) {
 		if len(ms) == 0 {
 			if fixed {
 				b.st.WastedGathers++
-				b.cWasted.Inc()
 				b.st.BusBytes += cfg.GXfer
 			}
 			continue

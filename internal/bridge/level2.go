@@ -58,14 +58,12 @@ type Level2 struct {
 	// Instruments, bound by BindMetrics; nil no-ops when metrics are off.
 	mBatch    *metrics.Histogram // bytes per channel batch (scatter + gather)
 	mLBBudget *metrics.Histogram // workload budget per cross-rank SCHEDULE
-	cLB       *metrics.Counter
 }
 
 // BindMetrics attaches the level-2 bridge's instruments to reg.
 func (l *Level2) BindMetrics(reg *metrics.Registry) {
 	l.mBatch = reg.Histogram("l2_batch_bytes")
 	l.mLBBudget = reg.Histogram("l2_lb_budget_workload")
-	l.cLB = reg.Counter("l2_lb_rounds")
 }
 
 // Stats2 holds level-2 counters.
@@ -209,7 +207,6 @@ func (l *Level2) crossRankBalance() {
 	now := uint64(l.eng.Now())
 	for _, c := range cmds {
 		l.st.LBRounds++
-		l.cLB.Inc()
 		l.mLBBudget.Observe(c.Budget)
 		round := l.newRound()
 		l.assign[schedKey{c.Giver, round}] = &assignState{receivers: c.Receivers, blockTo: make(map[uint64]int)}

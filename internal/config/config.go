@@ -258,10 +258,8 @@ func (t Level2Transport) String() string {
 // Host configures the host CPU used for design H and for host forwarding.
 type Host struct {
 	Cores     int
-	ClockGHz  float64
 	IPCFactor float64 // effective speedup per core cycle vs NDP in-order
 	LLCBytes  uint64
-	LLCHitPct float64 // fraction of task data accesses served by the LLC
 	// DispatchCost is the per-task shared-queue pop and dispatch cost in
 	// NDP-core cycles.
 	DispatchCost Cycles
@@ -372,10 +370,8 @@ func Default() Config {
 		Trigger: TriggerDynamic,
 		Host: Host{
 			Cores:          16,
-			ClockGHz:       2.6,
 			IPCFactor:      6.5, // 2.6 GHz OoO vs 400 MHz in-order, pointer-chasing IPC
 			LLCBytes:       20 << 20,
-			LLCHitPct:      0.35,
 			DispatchCost:   24, // shared task-pool pop + dispatch, ~60 ns
 			RandomAccessBW: 12, // ~25% of streaming peak on random 64 B
 		},
@@ -528,8 +524,6 @@ func (c Config) Validate() error {
 		return errors.New("config: host cores must be positive for design H")
 	}
 	if c.SplitDIMMBuffer {
-		pins := int(c.Timing.ChipDQBytesPerCycle) // not pins, but proportional
-		_ = pins
 		if c.SplitDQCAPins <= 0 || c.SplitDQCAPins >= 8 {
 			return errors.New("config: SplitDQCAPins must be in (0, 8)")
 		}

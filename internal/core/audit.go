@@ -10,11 +10,11 @@ import (
 // The invariant auditor cross-checks the simulation's conservation laws
 // while it runs. Two tiers:
 //
-//   - Weak checks fire from the engine's audit hook every N cycles, at an
-//     arbitrary point between events: lifetime totals must balance the live
-//     accounting (tasks spawned = executed + outstanding; messages staged =
-//     delivered + in flight), and the retry-protocol sequence counters must
-//     never move backwards.
+//   - Weak checks run on the engine's Every grid, every N cycles, between
+//     events: lifetime totals must balance the live accounting (tasks
+//     spawned = executed + outstanding; messages staged = delivered + in
+//     flight), and the retry-protocol sequence counters must never move
+//     backwards.
 //
 //   - Strong checks fire at every bulk-sync barrier, where the fabric is
 //     provably drained: no component may hold a residual message (mailboxes,
@@ -76,7 +76,7 @@ func (s *System) AttachAudit(every sim.Cycles) error {
 	}
 	a.stateDigest = s.StateDigest
 	s.aud = a
-	s.eng.SetAudit(every, a.weak)
+	s.eng.Every(every, a.weak)
 	s.addEpochHook(a.strong)
 	return nil
 }
@@ -89,7 +89,7 @@ func (a *auditor) violate(v audit.Violation) {
 }
 
 // weak runs the any-time conservation checks.
-func (a *auditor) weak(now sim.Cycles) {
+func (a *auditor) weak(sim.Cycles) {
 	s := a.s
 	a.checks++
 

@@ -305,6 +305,69 @@ func TestCheckpointLegacyStateSection(t *testing.T) {
 	}
 }
 
+// TestCheckpointOlderConfigJSON: checkpoints written before the unused host
+// knobs ClockGHz and LLCHitPct were deleted still carry them in their config
+// JSON. Decoding ignores the two fields, so the rebuilt run has the same
+// config and resumes verified.
+func TestCheckpointOlderConfigJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "older.ckpt")
+	cfg := testCfg(config.DesignO)
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.addEpochHook(func(completed uint32) {
+		if completed == 1 {
+			if err := sys.WriteCheckpoint(path); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if _, err := sys.Run(&epochWave{epochs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Put the two fields back the way older builds wrote them.
+	var top, host map[string]json.RawMessage
+	if err := json.Unmarshal(ck.CfgJSON, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["Host"], &host); err != nil {
+		t.Fatal(err)
+	}
+	host["ClockGHz"] = json.RawMessage("2.6")
+	host["LLCHitPct"] = json.RawMessage("0.35")
+	if top["Host"], err = json.Marshal(host); err != nil {
+		t.Fatal(err)
+	}
+	if ck.CfgJSON, err = json.Marshal(top); err != nil {
+		t.Fatal(err)
+	}
+
+	var cfg2 config.Config
+	if err := json.Unmarshal(ck.CfgJSON, &cfg2); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg2, cfg) {
+		t.Fatalf("older config JSON decodes to %+v, want %+v", cfg2, cfg)
+	}
+	sys2, err := New(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys2.VerifyResume(ck)
+	if _, err := sys2.Run(&epochWave{epochs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if !sys2.ResumeVerified() {
+		t.Fatal("replay never matched the checkpoint marker")
+	}
+}
+
 func sectionNames(f *checkpoint.File) []string {
 	var names []string
 	for _, s := range f.Sections {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ndpbridge/internal/config"
@@ -101,5 +102,98 @@ func TestMetricsDesignH(t *testing.T) {
 	}
 	if reg.FindHistogram("task_exec_cycles").Count() != 20 {
 		t.Error("task_exec_cycles not populated on design H")
+	}
+}
+
+// TestCountersMatchStats: the registry's counters are exported from the
+// component stats at the end of Run, so each equals the stats sum that
+// counts the same event, and each design exports the counter set of the
+// components it has: unit counters wherever there are units, bridge
+// counters only on the bridge designs.
+func TestCountersMatchStats(t *testing.T) {
+	unitNames := []string{"blocks_borrowed", "blocks_returned", "bounces", "mailbox_stalls"}
+	bridgeNames := []string{"blocks_borrowed", "blocks_returned", "bounces", "l2_lb_rounds",
+		"lb_rounds", "mailbox_stalls", "wasted_gathers"}
+	cases := []struct {
+		name    string
+		d       config.Design
+		mutate  func(*config.Config)
+		names   []string
+		nonzero string // a counter this case must drive above zero
+	}{
+		{name: "C", d: config.DesignC, names: unitNames},
+		{name: "R", d: config.DesignR, names: unitNames},
+		{name: "H", d: config.DesignH},
+		{name: "O", d: config.DesignO, names: bridgeNames, nonzero: "l2_lb_rounds"},
+		{name: "B fixed trigger", d: config.DesignB, names: bridgeNames, nonzero: "wasted_gathers",
+			mutate: func(c *config.Config) { c.Trigger = config.TriggerFixedIMin }},
+		{name: "W small mailbox", d: config.DesignW, names: bridgeNames, nonzero: "mailbox_stalls",
+			mutate: func(c *config.Config) { c.Buffers.MailboxBytes = 4 << 10 }},
+		{name: "W small borrowed table", d: config.DesignW, names: bridgeNames, nonzero: "blocks_returned",
+			mutate: func(c *config.Config) {
+				c.Metadata.UnitBorrowedEntries = 8
+				c.Metadata.UnitBorrowedWays = 2
+				c.Metadata.BorrowedRegionBytes = 4 << 10
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg(tc.d)
+			if tc.mutate != nil {
+				tc.mutate(&cfg)
+			}
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			sys.AttachMetrics(reg)
+			r, err := sys.Run(&spill{epochs: 4, tasks: 300, chain: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.CounterNames(); !slices.Equal(got, tc.names) {
+				t.Fatalf("counters %v, want %v", got, tc.names)
+			}
+			if tc.names == nil {
+				return
+			}
+			var stalls uint64
+			for _, u := range r.Units {
+				stalls += u.Stalls
+			}
+			// A returned block is counted in Returns twice: by the borrower
+			// sending it home and by the home taking it back.
+			if r.BlocksReturned%2 != 0 {
+				t.Errorf("BlocksReturned = %d, want an even count", r.BlocksReturned)
+			}
+			want := map[string]uint64{
+				"bounces":         r.Bounces,
+				"blocks_borrowed": r.BlocksMigrated,
+				"blocks_returned": r.BlocksReturned / 2,
+				"mailbox_stalls":  stalls,
+			}
+			if len(sys.bridges) > 0 {
+				var lb, wasted uint64
+				for _, b := range sys.bridges {
+					lb += b.Stats().LBRounds
+					wasted += b.Stats().WastedGathers
+				}
+				want["lb_rounds"] = lb
+				want["l2_lb_rounds"] = sys.l2.Stats().LBRounds
+				want["wasted_gathers"] = wasted
+				if lb+want["l2_lb_rounds"] != r.LBRounds {
+					t.Errorf("level-1 %d + level-2 %d LB rounds != Result.LBRounds %d", lb, want["l2_lb_rounds"], r.LBRounds)
+				}
+			}
+			for name, w := range want {
+				if got := reg.FindCounter(name).Value(); got != w {
+					t.Errorf("%s = %d, stats say %d", name, got, w)
+				}
+			}
+			if tc.nonzero != "" && reg.FindCounter(tc.nonzero).Value() == 0 {
+				t.Errorf("%s stayed zero; the case no longer exercises it", tc.nonzero)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"ndpbridge/internal/metrics"
 	"ndpbridge/internal/sim"
 	"ndpbridge/internal/task"
-	"ndpbridge/internal/trace"
 	"ndpbridge/internal/traffic"
 )
 
@@ -236,7 +235,6 @@ func (s *System) serveAddr(r traffic.Request) uint64 {
 // (checkpoints, audit) run without a barrier per request.
 func (s *System) servingAdvance() {
 	sv := s.serve
-	now := s.eng.Now()
 	// Credits are definitionally free with the fabric empty; drain anything
 	// still queued before deciding the run is over.
 	if sv.src.QueueLen() > 0 {
@@ -248,27 +246,15 @@ func (s *System) servingAdvance() {
 		}
 	}
 	if sv.src.Done() {
-		s.outstanding.remove(s.epoch)
-		if s.epochHook != nil {
-			s.epochHook(s.epoch)
-		}
-		s.mEpoch.Observe(now - s.epochStart)
+		s.closeEpoch()
 		s.done = true
 		s.eng.Stop()
 		return
 	}
 	barrier := sim.Cycles(sv.src.Spec().Barrier)
-	if barrier == 0 || now-s.epochStart < barrier {
+	if barrier == 0 || s.eng.Now()-s.epochStart < barrier {
 		return // idle gap between requests; the pump keeps the run alive
 	}
-	s.outstanding.remove(s.epoch)
-	if s.epochHook != nil {
-		s.epochHook(s.epoch)
-	}
-	s.mEpoch.Observe(now - s.epochStart)
-	s.epochStart = now
-	next := s.epoch + 1
-	s.rec.Record(trace.KindEpoch, -1, uint64(now), uint64(now), fmt.Sprintf("epoch %d", next))
-	s.rec.EpochMark(next, uint64(now))
-	s.epoch = next
+	s.closeEpoch()
+	s.openEpoch(s.epoch + 1)
 }

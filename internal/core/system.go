@@ -284,13 +284,7 @@ func (s *System) checkAdvance() {
 		s.servingAdvance()
 		return
 	}
-	s.outstanding.remove(s.epoch)
-	if s.epochHook != nil {
-		s.epochHook(s.epoch)
-	}
-	now := s.eng.Now()
-	s.mEpoch.Observe(now - s.epochStart)
-	s.epochStart = now
+	s.closeEpoch()
 	next := s.epoch + 1
 	// Ask the application for more work unless tasks for the next epoch
 	// were already spawned dynamically.
@@ -300,13 +294,32 @@ func (s *System) checkAdvance() {
 		s.eng.Stop()
 		return
 	}
-	s.rec.Record(trace.KindEpoch, -1, uint64(s.eng.Now()), uint64(s.eng.Now()), fmt.Sprintf("epoch %d", next))
-	s.rec.EpochMark(next, uint64(s.eng.Now()))
-	s.epoch = next
+	s.openEpoch(next)
 	// Barrier broadcast: a small fixed cost before units resume.
 	s.eng.After(16, s.kickAll)
 	// The new epoch may already be empty (e.g. pure-barrier epochs).
 	s.eng.After(17, s.checkAdvance)
+}
+
+// closeEpoch ends the current epoch at a bulk-sync barrier, the instant its
+// accounting is provably empty: the epoch hook chain (checkpoints, strong
+// audit checks) runs, and the epoch's length is observed.
+func (s *System) closeEpoch() {
+	s.outstanding.remove(s.epoch)
+	if s.epochHook != nil {
+		s.epochHook(s.epoch)
+	}
+	s.mEpoch.Observe(s.eng.Now() - s.epochStart)
+}
+
+// openEpoch starts epoch n at the current cycle and marks the boundary in
+// the trace.
+func (s *System) openEpoch(n uint32) {
+	now := s.eng.Now()
+	s.rec.Record(trace.KindEpoch, -1, now, now, fmt.Sprintf("epoch %d", n))
+	s.rec.EpochMark(n, now)
+	s.epoch = n
+	s.epochStart = now
 }
 
 func (s *System) kickAll() {
@@ -385,9 +398,10 @@ func (s *System) SetCompatEventCore(on bool) {
 func (s *System) Trace() *trace.Recorder { return s.rec }
 
 // AttachMetrics installs a metrics registry: it binds every component's
-// instruments and registers the system-level gauges the cycle sampler
+// histograms and registers the system-level gauges the cycle sampler
 // snapshots (mailbox occupancy, ready-queue depth, in-flight messages,
-// bridge-buffer backlog). Attach before Run; a nil registry is a no-op.
+// bridge-buffer backlog); counters are exported from component stats when
+// Run ends. Attach before Run; a nil registry is a no-op.
 func (s *System) AttachMetrics(reg *metrics.Registry) {
 	s.met = reg
 	if reg == nil {
@@ -497,9 +511,7 @@ func (s *System) Run(app App) (*stats.Result, error) {
 	s.ran = true
 	// The first epoch starts at the clock edge; later boundaries come from
 	// checkAdvance.
-	s.rec.Record(trace.KindEpoch, -1, s.eng.Now(), s.eng.Now(), "epoch 0")
-	s.rec.EpochMark(0, s.eng.Now())
-	s.epochStart = s.eng.Now()
+	s.openEpoch(0)
 	s.met.StartSampler(s.eng, s.cfg.IState)
 
 	for _, b := range s.bridges {
@@ -690,6 +702,7 @@ func (s *System) collect(appName string) *stats.Result {
 		r.IntraRankBytes += rs.Bytes
 		ec.ChannelBytes += rs.Bytes
 	}
+	s.exportCounters()
 	r.Faults = s.faultResult()
 	if rep := s.rec.CritPath(uint64(s.eng.Now())); rep != nil {
 		dom, frac := rep.Dominant()
@@ -716,6 +729,43 @@ func (s *System) collect(appName string) *stats.Result {
 	r.Finalize()
 	r.Energy = energy.Breakdown(ec, s.cfg.Energy)
 	return r
+}
+
+// exportCounters publishes the run's event counts to the metrics registry.
+// Each value is read from the stats of the component that counts the event,
+// so the registry keeps no count of its own, and a design exports only the
+// counters of the components it has.
+func (s *System) exportCounters() {
+	if s.met == nil || len(s.units) == 0 {
+		return
+	}
+	var bounces, borrowed, returned, stalls uint64
+	for _, u := range s.units {
+		us := u.Stats()
+		bounces += us.Bounces
+		borrowed += us.Borrowed
+		stalls += us.Stalls
+		// Returns also counts the home taking a returned block back. A
+		// block leaves the borrower's dataBorrowed table only by being sent
+		// home, so the blocks sent are those received less those held.
+		returned += us.Borrowed - uint64(u.BorrowedCount())
+	}
+	s.met.Counter("bounces").Add(bounces)
+	s.met.Counter("blocks_borrowed").Add(borrowed)
+	s.met.Counter("blocks_returned").Add(returned)
+	s.met.Counter("mailbox_stalls").Add(stalls)
+	if len(s.bridges) == 0 {
+		return
+	}
+	var lbRounds, wasted uint64
+	for _, b := range s.bridges {
+		bs := b.Stats()
+		lbRounds += bs.LBRounds
+		wasted += bs.WastedGathers
+	}
+	s.met.Counter("lb_rounds").Add(lbRounds)
+	s.met.Counter("wasted_gathers").Add(wasted)
+	s.met.Counter("l2_lb_rounds").Add(s.l2.Stats().LBRounds)
 }
 
 // latencySummary folds a latency histogram into the Result's percentile

@@ -56,9 +56,10 @@ func CheckpointDir() string {
 // simulation the campaign runs, checking every N cycles.
 var auditEvery atomic.Uint64
 
-// SetAuditEvery enables the invariant auditor on every campaign simulation
-// (0 disables). Violations fail the owning cell's run.
-func SetAuditEvery(every uint64) { auditEvery.Store(every) }
+// EnableAudit attaches the invariant auditor to every campaign simulation,
+// running its weak checks every `every` cycles (0 disables). Violations fail
+// the owning cell's run.
+func EnableAudit(every uint64) { auditEvery.Store(every) }
 
 // AuditEvery returns the configured audit period, or 0 when off.
 func AuditEvery() uint64 { return auditEvery.Load() }

@@ -157,8 +157,8 @@ func TestCampaignCacheBypassedWithAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetCounters()
-	SetAuditEvery(512)
-	defer SetAuditEvery(0)
+	EnableAudit(512)
+	defer EnableAudit(0)
 	if _, err := Grid(Small, []string{"ll"}, designs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestCampaignCacheBypassedWithAudit(t *testing.T) {
 }
 
 func TestCampaignAuditAttach(t *testing.T) {
-	SetAuditEvery(512)
-	defer SetAuditEvery(0)
+	EnableAudit(512)
+	defer EnableAudit(0)
 	SetJobs(1)
 	defer SetJobs(0)
 	if _, err := Grid(Small, []string{"ll"}, []config.Design{config.DesignO}, nil); err != nil {

@@ -33,8 +33,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil registry name listings must be nil")
 	}
 	reg.Merge(NewRegistry(), "")
-	var s *Sampler
-	s.Stop() // must not panic
 	var ser *Series
 	if ser.Len() != 0 {
 		t.Error("nil series Len")
@@ -133,31 +131,38 @@ func TestSampler(t *testing.T) {
 	eng := sim.NewEngine()
 	var depth uint64
 	reg.Gauge("queue_depth", func() uint64 { return depth })
-	s := reg.StartSampler(eng, 100)
-	if s == nil {
+	if reg.StartSampler(eng, 100) == nil {
 		t.Fatal("sampler not started")
 	}
-	// Mutate the gauge source over time.
+	// Mutate the gauge source over time. The change at 200 lands on a grid
+	// point, which samples the state before that cycle's events.
 	eng.At(50, func() { depth = 5 })
 	eng.At(150, func() { depth = 9 })
+	eng.At(200, func() { depth = 4 })
 	eng.RunUntil(350)
 	ser := reg.SeriesByName("queue_depth")
 	if ser.Len() != 3 {
 		t.Fatalf("samples = %d, want 3 (got %+v)", ser.Len(), ser)
 	}
 	wantCycles := []uint64{100, 200, 300}
-	wantValues := []uint64{5, 9, 9}
+	wantValues := []uint64{5, 9, 4}
 	for i := range wantCycles {
 		if ser.Cycles[i] != wantCycles[i] || ser.Values[i] != wantValues[i] {
 			t.Errorf("sample %d = (%d,%d), want (%d,%d)",
 				i, ser.Cycles[i], ser.Values[i], wantCycles[i], wantValues[i])
 		}
 	}
-	// Stop cuts the chain: no more samples after.
-	s.Stop()
-	eng.RunUntil(1000)
+	// Sampling schedules no events: the engine ran exactly the model's
+	// three, and a drained engine stops with no sample chain keeping it
+	// alive.
+	if eng.Processed() != 3 || eng.Pending() != 0 {
+		t.Fatalf("processed %d, pending %d; want 3 and 0", eng.Processed(), eng.Pending())
+	}
+	if err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if ser.Len() != 3 {
-		t.Errorf("samples after Stop = %d, want 3", ser.Len())
+		t.Errorf("samples after the queue drained = %d, want 3", ser.Len())
 	}
 }
 

@@ -5,30 +5,26 @@ import (
 )
 
 // Sampler snapshots every registered gauge into a per-gauge time series on a
-// fixed simulated-cycle period. It drives itself with a recurring event on
-// the run's engine; like the bridges' state sweeps, the chain is cut by the
-// engine's Stop at end of run (or explicitly with Stop).
+// fixed simulated-cycle grid. It observes through the engine's Every hook and
+// schedules no events, so sampling leaves the run itself unchanged.
 type Sampler struct {
-	reg      *Registry
-	eng      *sim.Engine
-	interval sim.Cycles
-	stopped  bool
-	// out[i] receives samples of reg.gauges[i]; bound at start so gauges
-	// registered later are not silently half-sampled.
-	out []*Series
+	// gauges[i] is sampled into out[i]; both are bound at start, so a gauge
+	// registered later is never half-sampled.
+	gauges []*Gauge
+	out    []*Series
 }
 
-// StartSampler begins sampling all currently-registered gauges every
-// interval cycles, beginning one interval from now. It returns nil (a no-op
-// sampler) on a nil registry, when no gauges are registered, or when the
-// interval is zero.
+// StartSampler samples all currently-registered gauges every interval
+// cycles, the first sample one interval from now; each sample records its
+// grid cycle. It returns nil (no sampling) on a nil registry or engine, when
+// no gauges are registered, or when the interval is zero.
 func (r *Registry) StartSampler(eng *sim.Engine, interval sim.Cycles) *Sampler {
 	if r == nil || eng == nil || interval == 0 || len(r.gauges) == 0 {
 		return nil
 	}
-	s := &Sampler{reg: r, eng: eng, interval: interval}
-	s.out = make([]*Series, len(r.gauges))
-	for i, g := range r.gauges {
+	s := &Sampler{gauges: append([]*Gauge(nil), r.gauges...)}
+	s.out = make([]*Series, len(s.gauges))
+	for i, g := range s.gauges {
 		ser := r.series[g.name]
 		if ser == nil {
 			ser = &Series{Interval: uint64(interval)}
@@ -36,26 +32,14 @@ func (r *Registry) StartSampler(eng *sim.Engine, interval sim.Cycles) *Sampler {
 		}
 		s.out[i] = ser
 	}
-	eng.After(interval, s.tick)
+	eng.Every(interval, s.sample)
 	return s
 }
 
-// Stop ends the sampling chain after the next pending tick.
-func (s *Sampler) Stop() {
-	if s != nil {
-		s.stopped = true
-	}
-}
-
-func (s *Sampler) tick() {
-	if s.stopped {
-		return
-	}
-	now := uint64(s.eng.Now())
-	for i, g := range s.reg.gauges {
+func (s *Sampler) sample(at sim.Cycles) {
+	for i, g := range s.gauges {
 		ser := s.out[i]
-		ser.Cycles = append(ser.Cycles, now)
+		ser.Cycles = append(ser.Cycles, uint64(at))
 		ser.Values = append(ser.Values, g.Value())
 	}
-	s.eng.After(s.interval, s.tick)
 }

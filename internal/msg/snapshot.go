@@ -85,7 +85,3 @@ func (f *Dedup) SnapshotTo(e *checkpoint.Enc) {
 	}
 	e.U64(f.dups)
 }
-
-// Floor returns the highest in-order sequence number accepted, for the
-// auditor's monotonicity check.
-func (f *Dedup) Floor() uint32 { return f.floor }

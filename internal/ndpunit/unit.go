@@ -159,10 +159,6 @@ type Unit struct {
 	mTaskLat  *metrics.Histogram // spawn → execution-start latency
 	mTaskExec *metrics.Histogram // execution duration
 	mMsgLat   *metrics.Histogram // staging → delivery latency
-	cBounces  *metrics.Counter
-	cBorrowed *metrics.Counter
-	cReturns  *metrics.Counter
-	cStalls   *metrics.Counter
 
 	hits64     uint64 // SRAM access approximation counter
 	lastBounce uint64 // most recent bounced task address, for diagnostics
@@ -180,10 +176,6 @@ func (u *Unit) BindMetrics(reg *metrics.Registry) {
 	u.mTaskLat = reg.Histogram("task_latency_cycles")
 	u.mTaskExec = reg.Histogram("task_exec_cycles")
 	u.mMsgLat = reg.Histogram("msg_latency_cycles")
-	u.cBounces = reg.Counter("bounces")
-	u.cBorrowed = reg.Counter("blocks_borrowed")
-	u.cReturns = reg.Counter("blocks_returned")
-	u.cStalls = reg.Counter("mailbox_stalls")
 }
 
 // QueueLen returns the number of tasks waiting in the unit's queues (main
@@ -411,7 +403,6 @@ func (u *Unit) tryStart() {
 			// The block was lent away after this task was queued:
 			// bounce the task back into the fabric (Section VI-B).
 			u.st.Bounces++
-			u.cBounces.Inc()
 			u.lastBounce = t.Addr
 			u.emit(u.taskMessage(t, true))
 			if len(u.staged) > 0 && !u.flushStaged() {
@@ -534,7 +525,6 @@ func (u *Unit) flushStaged() bool {
 		}
 		if !mb.Enqueue(m) {
 			u.st.Stalls++
-			u.cStalls.Inc()
 			return false
 		}
 		u.st.MsgsOut++
@@ -799,7 +789,6 @@ func (u *Unit) receive(m *msg.Message) {
 			// escalate if we are the home (it lives in another
 			// rank).
 			u.st.Bounces++
-			u.cBounces.Inc()
 			u.lastBounce = t.Addr
 			u.env.MsgStaged() // re-enters flight
 			home := u.env.Map().Home(t.Addr) == u.id
@@ -858,7 +847,6 @@ func (u *Unit) receiveData(m *msg.Message) {
 			u.returnBlock(ev.Key, ev.Value)
 		}
 		u.st.Borrowed++
-		u.cBorrowed.Inc()
 	}
 	if int(m.Index) == int(m.Total)-1 {
 		u.tryStart()
@@ -913,7 +901,6 @@ func (u *Unit) returnBlock(blk, slot uint64) {
 	}
 	u.flushStaged()
 	u.st.Returns++
-	u.cReturns.Inc()
 }
 
 // ForceReturn is the back-invalidation used when a bridge-level dataBorrowed

@@ -105,19 +105,26 @@ type Engine struct {
 	progressEvery uint64
 	progressLeft  uint64
 
-	// Audit hook: auditFn fires at most once per auditEvery simulated
-	// cycles, before the first event at or past auditNext executes — a
-	// point where no event is mid-flight, so cross-component invariants
-	// hold. Separate from the progress hook: both are commonly installed
-	// at once (heartbeat + auditor).
-	auditFn    func(now Cycles)
-	auditEvery Cycles
-	auditNext  Cycles
+	// Periodic hooks (Every). hookNext is the earliest grid point any hook
+	// is waiting for (noHook when none is installed), so the run loop pays
+	// one compare per event until a hook is due.
+	hooks    []hook
+	hookNext Cycles
 }
+
+// hook is one Every subscriber: fn runs at next, next+every, ...
+type hook struct {
+	every Cycles
+	next  Cycles
+	fn    func(at Cycles)
+}
+
+// noHook is hookNext's value when no grid point is pending.
+const noHook = ^Cycles(0)
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{pq: make([]event, 0, 64), wheel: make([]bucket, wheelSize)}
+	return &Engine{pq: make([]event, 0, 64), wheel: make([]bucket, wheelSize), hookNext: noHook}
 }
 
 // SetHeapOnly routes every future event through the min-heap, bypassing the
@@ -392,27 +399,42 @@ func (e *Engine) SetProgress(every uint64, fn func(now Cycles, processed uint64)
 	e.progressLeft = every
 }
 
-// SetAudit installs fn to run at most once per `every` simulated cycles,
-// between events (never while one is executing). every == 0 or fn == nil
-// disables the hook. The check costs one branch per event when disabled.
-func (e *Engine) SetAudit(every Cycles, fn func(now Cycles)) {
-	if fn == nil {
-		every = 0
+// Every installs fn to observe the run on a fixed grid of simulated time:
+// fn(at) runs for each at = now + k·every (k ≥ 1), before the first event
+// whose time is ≥ at executes, with Now() == at. A jump across several grid
+// points calls fn once per point, in order; RunUntil's final clock advance
+// runs the points it passes too. Hooks of equal at run in installation order.
+// Any number of hooks may be installed; every == 0 or fn == nil installs
+// nothing. Hooks schedule no events, so they leave the event sequence —
+// Processed, SnapState and everything the model computes — untouched, as
+// long as fn only reads.
+func (e *Engine) Every(every Cycles, fn func(at Cycles)) {
+	if every == 0 || fn == nil {
+		return
 	}
-	e.auditFn = fn
-	e.auditEvery = every
-	e.auditNext = e.now + every
+	next := e.now + every
+	e.hooks = append(e.hooks, hook{every: every, next: next, fn: fn})
+	if next < e.hookNext {
+		e.hookNext = next
+	}
 }
 
-// tickAudit fires the audit hook when the next event's time has reached the
-// audit deadline. Called before the event executes, with now already
-// advanced to the event's time.
-//
-//ndplint:hotpath
-func (e *Engine) tickAudit() {
-	if e.auditEvery != 0 && e.now >= e.auditNext {
-		e.auditFn(e.now)
-		e.auditNext = e.now + e.auditEvery
+// runHooks runs every hook grid point at or before t, in time order, with
+// the clock at each point. Called with hookNext <= t, before the event at t.
+func (e *Engine) runHooks(t Cycles) {
+	for e.hookNext <= t {
+		at := e.hookNext
+		e.now = at
+		next := noHook
+		// Index on every access: fn may install a hook and move the slice.
+		for i := 0; i < len(e.hooks); i++ {
+			if e.hooks[i].next == at {
+				e.hooks[i].next += e.hooks[i].every
+				e.hooks[i].fn(at)
+			}
+			next = min(next, e.hooks[i].next)
+		}
+		e.hookNext = next
 	}
 }
 
@@ -466,8 +488,10 @@ func (e *Engine) Run(maxEvents uint64) error {
 		if ev.time < e.now {
 			panic("sim: event time regression")
 		}
+		if ev.time >= e.hookNext {
+			e.runHooks(ev.time)
+		}
 		e.now = ev.time
-		e.tickAudit()
 		e.processed++
 		ev.fn()
 		e.tickProgress()
@@ -488,13 +512,18 @@ func (e *Engine) RunUntil(t Cycles) {
 		if ev.time < e.now {
 			panic("sim: event time regression")
 		}
+		if ev.time >= e.hookNext {
+			e.runHooks(ev.time)
+		}
 		e.now = ev.time
-		e.tickAudit()
 		e.processed++
 		ev.fn()
 		e.tickProgress()
 	}
 	if e.now < t && !e.stopped {
+		if t >= e.hookNext {
+			e.runHooks(t)
+		}
 		e.now = t
 	}
 }

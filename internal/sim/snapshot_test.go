@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // TestRNGStateRoundTrip: State is the generator's whole position, so a
 // generator seeded with it continues the exact stream. Snapshots encode
@@ -36,41 +40,98 @@ func TestEngineSnapState(t *testing.T) {
 	}
 }
 
-func TestEngineAuditHook(t *testing.T) {
-	e := NewEngine()
-	var fired []Cycles
-	e.SetAudit(100, func(now Cycles) { fired = append(fired, now) })
-
-	// Events at 50, 150, 160, 400: audit should fire at 150 (first event
-	// at/past deadline 100), then at 400 (first at/past 250), never twice
-	// for events inside one window.
-	for _, c := range []Cycles{50, 150, 160, 400} {
-		e.At(c, func() {})
+func TestEngineEvery(t *testing.T) {
+	type sub struct {
+		name  string
+		every Cycles
 	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 || fired[0] != 150 || fired[1] != 400 {
-		t.Errorf("audit fired at %v, want [150 400]", fired)
-	}
-
-	// Disabled hook never fires.
-	e2 := NewEngine()
-	n := 0
-	e2.SetAudit(0, func(Cycles) { n++ })
-	e2.At(1000, func() {})
-	if err := e2.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("disabled audit hook fired %d times", n)
+	cases := []struct {
+		name   string
+		hooks  []sub
+		nilFn  bool
+		events []Cycles
+		until  Cycles // 0: Run until the queue drains; else RunUntil(until)
+		want   []string
+	}{{
+		// Both grids fire, each at its own points; at a shared point the
+		// hooks run in installation order, and a point that coincides with
+		// an event runs before it.
+		name:   "two periods",
+		hooks:  []sub{{"a", 100}, {"b", 250}},
+		events: []Cycles{50, 150, 400, 520},
+		want: []string{"ev@50", "a@100", "ev@150", "a@200", "b@250", "a@300",
+			"a@400", "ev@400", "a@500", "b@500", "ev@520"},
+	}, {
+		// A jump across several grid points calls the hook once per point,
+		// in order, all before the event at the jump target.
+		name:   "jump",
+		hooks:  []sub{{"a", 10}},
+		events: []Cycles{5, 47},
+		want:   []string{"ev@5", "a@10", "a@20", "a@30", "a@40", "ev@47"},
+	}, {
+		name:   "RunUntil advance",
+		hooks:  []sub{{"a", 100}},
+		events: []Cycles{50},
+		until:  250,
+		want:   []string{"ev@50", "a@100", "a@200"},
+	}, {
+		name:   "every zero",
+		hooks:  []sub{{"a", 0}},
+		events: []Cycles{5, 1000},
+		want:   []string{"ev@5", "ev@1000"},
+	}, {
+		name:   "nil fn",
+		hooks:  []sub{{"a", 10}},
+		nilFn:  true,
+		events: []Cycles{5, 1000},
+		want:   []string{"ev@5", "ev@1000"},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(withHooks bool) ([]string, State) {
+				e := NewEngine()
+				var log []string
+				if withHooks {
+					for _, h := range tc.hooks {
+						fn := func(at Cycles) {
+							if e.Now() != at {
+								t.Errorf("hook %s at %d saw Now() = %d", h.name, at, e.Now())
+							}
+							log = append(log, fmt.Sprintf("%s@%d", h.name, at))
+						}
+						if tc.nilFn {
+							fn = nil
+						}
+						e.Every(h.every, fn)
+					}
+				}
+				for _, c := range tc.events {
+					e.At(c, func() { log = append(log, fmt.Sprintf("ev@%d", c)) })
+				}
+				if tc.until > 0 {
+					e.RunUntil(tc.until)
+				} else if err := e.Run(0); err != nil {
+					t.Fatal(err)
+				}
+				return log, e.SnapState()
+			}
+			got, st := run(true)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("order = %v\nwant    %v", got, tc.want)
+			}
+			// Hooks only observe: the clock, the sequence counter and the
+			// processed count match a run without them.
+			if _, bare := run(false); st != bare {
+				t.Errorf("hooks changed the engine state: %+v, bare run %+v", st, bare)
+			}
+		})
 	}
 }
 
-func TestEngineAuditCoexistsWithProgress(t *testing.T) {
+func TestEngineEveryCoexistsWithProgress(t *testing.T) {
 	e := NewEngine()
-	audits, progresses := 0, 0
-	e.SetAudit(1, func(Cycles) { audits++ })
+	hooks, progresses := 0, 0
+	e.Every(1, func(Cycles) { hooks++ })
 	e.SetProgress(1, func(Cycles, uint64) { progresses++ })
 	for i := Cycles(1); i <= 5; i++ {
 		e.At(i, func() {})
@@ -78,7 +139,7 @@ func TestEngineAuditCoexistsWithProgress(t *testing.T) {
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if audits != 5 || progresses != 5 {
-		t.Errorf("audits=%d progresses=%d, want 5 and 5", audits, progresses)
+	if hooks != 5 || progresses != 5 {
+		t.Errorf("hooks=%d progresses=%d, want 5 and 5", hooks, progresses)
 	}
 }

@@ -211,22 +211,6 @@ func (r *Recorder) Utilization(makespan uint64, buckets int) (actors []int, util
 	return actors, util
 }
 
-// Summary aggregates event counts and busy cycles per kind.
-type Summary struct {
-	Count map[Kind]uint64
-	Busy  map[Kind]uint64
-}
-
-// Summarize computes totals across all events.
-func (r *Recorder) Summarize() Summary {
-	s := Summary{Count: make(map[Kind]uint64), Busy: make(map[Kind]uint64)}
-	for _, e := range r.Events() {
-		s.Count[e.Kind]++
-		s.Busy[e.Kind] += e.End - e.Start
-	}
-	return s
-}
-
 // Heatmap renders the utilization matrix as a coarse ASCII heatmap, one row
 // per actor — handy for eyeballing imbalance in a terminal.
 func (r *Recorder) Heatmap(makespan uint64, buckets int) string {

@@ -181,20 +181,6 @@ func TestUtilizationBucketBoundary(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	r := New(0)
-	r.Record(KindTask, 0, 0, 10, "")
-	r.Record(KindTask, 1, 0, 20, "")
-	r.Record(KindLB, -1, 5, 5, "")
-	s := r.Summarize()
-	if s.Count[KindTask] != 2 || s.Busy[KindTask] != 30 {
-		t.Errorf("task summary = %d/%d", s.Count[KindTask], s.Busy[KindTask])
-	}
-	if s.Count[KindLB] != 1 {
-		t.Errorf("lb count = %d", s.Count[KindLB])
-	}
-}
-
 func TestHeatmap(t *testing.T) {
 	r := New(0)
 	r.Record(KindTask, 3, 0, 100, "")
