@@ -50,8 +50,7 @@ func main() {
 		split    = flag.Bool("splitdb", false, "model split DIMM buffers (chameleon-s)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		verbose  = flag.Bool("v", false, "print per-component detail")
-		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace JSON to this file")
-		flowOut  = flag.String("flowtrace", "", "write a Chrome/Perfetto trace with causal flow arrows to this file")
+		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace (activity events, causal spans and flow arrows) to this file")
 		critOn   = flag.Bool("critpath", false, "print the critical-path attribution report")
 		critOut  = flag.String("critpath-json", "", "write the critical-path report JSON to this file")
 		traceCap = flag.Int("trace-cap", 0, "max retained trace events and causal spans (0 = default 2M each)")
@@ -223,8 +222,8 @@ func main() {
 		}()
 	}
 	var rec *trace.Recorder
-	flows := *flowOut != "" || *critOn || *critOut != ""
-	if *traceOut != "" || *heatmap || flows {
+	flows := *traceOut != "" || *critOn || *critOut != ""
+	if *heatmap || flows {
 		rec = trace.New(*traceCap)
 		if flows {
 			rec.EnableFlows(*traceCap)
@@ -274,15 +273,9 @@ func main() {
 		// Render to memory, then write atomically: a crash or full disk
 		// mid-write never leaves a truncated (unparseable) trace behind.
 		var buf bytes.Buffer
-		fatalIf(rec.ChromeTrace(&buf))
-		fatalIf(checkpoint.WriteFileAtomic(*traceOut, buf.Bytes()))
-		fmt.Printf("wrote %d trace events to %s\n", rec.Len(), *traceOut)
-	}
-	if *flowOut != "" {
-		var buf bytes.Buffer
 		fatalIf(rec.FlowTrace(&buf))
-		fatalIf(checkpoint.WriteFileAtomic(*flowOut, buf.Bytes()))
-		fmt.Printf("wrote %d trace events and %d causal spans to %s\n", rec.Len(), rec.SpanCount(), *flowOut)
+		fatalIf(checkpoint.WriteFileAtomic(*traceOut, buf.Bytes()))
+		fmt.Printf("wrote %d trace events and %d causal spans to %s\n", rec.Len(), rec.SpanCount(), *traceOut)
 	}
 	if *critOn || *critOut != "" {
 		rep := rec.CritPath(r.Makespan)

@@ -1,8 +1,8 @@
 // Command ndptrace validates and summarizes the trace artifacts ndpsim
 // writes. It is the CI smoke hook for the causal-tracing pipeline:
 //
-//	ndpsim -app tree -design O -small -flowtrace flow.json -critpath-json crit.json
-//	ndptrace -check flow.json      # structural validation of the flow trace
+//	ndpsim -app tree -design O -small -trace trace.json -critpath-json crit.json
+//	ndptrace -check trace.json     # structural validation of the trace
 //	ndptrace -critcheck crit.json  # attribution sums to the epoch makespan
 //
 // -check verifies the file parses as a Chrome/Perfetto JSON array, every
@@ -24,12 +24,12 @@ import (
 
 func main() {
 	var (
-		check     = flag.String("check", "", "validate a -flowtrace JSON file")
+		check     = flag.String("check", "", "validate an ndpsim -trace JSON file")
 		critcheck = flag.String("critcheck", "", "validate a -critpath-json report file")
 	)
 	flag.Parse()
 	if *check == "" && *critcheck == "" {
-		fmt.Fprintln(os.Stderr, "usage: ndptrace -check flow.json | -critcheck crit.json")
+		fmt.Fprintln(os.Stderr, "usage: ndptrace -check trace.json | -critcheck crit.json")
 		os.Exit(2)
 	}
 	if *check != "" {

@@ -373,16 +373,8 @@ func (l *Level2) commitUp(r int, m *msg.Message) {
 		}
 		m.Seq, m.Sum = 0, 0
 	}
-	if rec := l.env.Trace(); rec.FlowsEnabled() {
-		// Up-channel leg: level-1 drain → level-2 commit (channel batch).
-		now := l.eng.Now()
-		cat := trace.CatHostRT
-		if m.Sched || m.Round != 0 {
-			cat = trace.CatLBMigration
-		}
-		m.Span = rec.Span(m.Flow, m.Span, trace.SpanBridgeQ, cat, -1, m.HopStart(), now)
-		m.HopAt = now
-	}
+	// Up-channel leg: level-1 drain → level-2 commit (channel batch).
+	m.Hop(l.env.Trace(), trace.SpanBridgeQ, trace.CatHostRT, -1, l.eng.Now())
 	l.routeUp(m)
 }
 

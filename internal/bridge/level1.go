@@ -598,17 +598,9 @@ func (b *Level1) pickScatterChild(chip int) int {
 
 func (b *Level1) deliverToChild(idx int, m *msg.Message) {
 	u := b.children[idx]
-	if rec := b.env.Trace(); rec.FlowsEnabled() {
-		// Scatter-buffer wait: from the hop that routed the message here
-		// (gather pickup or down-channel commit) to this scatter slot.
-		now := b.eng.Now()
-		cat := trace.CatBridgeQueue
-		if m.Sched || m.Round != 0 {
-			cat = trace.CatLBMigration
-		}
-		m.Span = rec.Span(m.Flow, m.Span, trace.SpanBridgeQ, cat, u.ID(), m.HopStart(), now)
-		m.HopAt = now
-	}
+	// Scatter-buffer wait: from the hop that routed the message here
+	// (gather pickup or down-channel commit) to this scatter slot.
+	m.Hop(b.env.Trace(), trace.SpanBridgeQ, trace.CatBridgeQueue, u.ID(), b.eng.Now())
 	if m.Type == msg.TypeTask {
 		// The scheduled task has arrived: correct the pending counter.
 		// Accounted once at first send — retransmissions bypass this path.
@@ -753,16 +745,8 @@ func (b *Level1) acceptDown(m *msg.Message) {
 		}
 		m.Seq, m.Sum = 0, 0
 	}
-	if rec := b.env.Trace(); rec.FlowsEnabled() {
-		// Down-channel leg: level-2 scatter queue + channel batch transit.
-		now := b.eng.Now()
-		cat := trace.CatHostRT
-		if m.Sched || m.Round != 0 {
-			cat = trace.CatLBMigration
-		}
-		m.Span = rec.Span(m.Flow, m.Span, trace.SpanBridgeQ, cat, -1, m.HopStart(), now)
-		m.HopAt = now
-	}
+	// Down-channel leg: level-2 scatter queue + channel batch transit.
+	m.Hop(b.env.Trace(), trace.SpanBridgeQ, trace.CatHostRT, -1, b.eng.Now())
 	if m.Sched && m.Dst < 0 {
 		// Cross-rank lend arriving at the receiver rank: pick an idle
 		// child for the block.
@@ -925,18 +909,11 @@ func (b *Level1) DrainUp(budget uint64) []*msg.Message {
 	if len(ms) > 0 {
 		b.reinjectBackup()
 	}
-	if rec := b.env.Trace(); rec.FlowsEnabled() {
-		// Up-mailbox wait: routed into upMail → picked up by a level-2
-		// channel batch.
-		now := b.eng.Now()
-		for _, m := range ms {
-			cat := trace.CatBridgeQueue
-			if m.Sched || m.Round != 0 {
-				cat = trace.CatLBMigration
-			}
-			m.Span = rec.Span(m.Flow, m.Span, trace.SpanBridgeQ, cat, -1, m.HopStart(), now)
-			m.HopAt = now
-		}
+	// Up-mailbox wait: routed into upMail → picked up by a level-2 channel
+	// batch.
+	rec, now := b.env.Trace(), b.eng.Now()
+	for _, m := range ms {
+		m.Hop(rec, trace.SpanBridgeQ, trace.CatBridgeQueue, -1, now)
 	}
 	if b.fi != nil && b.fi.upRet != nil {
 		for _, m := range ms {

@@ -6,6 +6,7 @@ import (
 
 	"ndpbridge/internal/config"
 	"ndpbridge/internal/metrics"
+	"ndpbridge/internal/trace"
 )
 
 // TestMetricsEndToEnd runs a message-heavy workload with a registry attached
@@ -195,5 +196,67 @@ func TestCountersMatchStats(t *testing.T) {
 				t.Errorf("%s stayed zero; the case no longer exercises it", tc.nonzero)
 			}
 		})
+	}
+}
+
+// TestHistogramNamesPerDesign pins each design's histogram name set, as the
+// components registered it when each bound its own latency histograms. The
+// trace recorder now binds them when Run starts, so a metrics-only run and
+// runs with a recorder attached before or after the registry must still
+// register msg_latency_cycles only with NDP units (not H), and the
+// per-category wait histograms only when the recorder keeps events or spans.
+func TestHistogramNamesPerDesign(t *testing.T) {
+	tasks := []string{"epoch_cycles", "task_exec_cycles", "task_latency_cycles"}
+	host := []string{"host_batch_bytes", "host_batch_msgs", "msg_latency_cycles"}
+	bridges := []string{"gather_batch_bytes", "l2_batch_bytes", "l2_lb_budget_workload",
+		"lb_budget_workload", "lb_child_wqueue", "msg_latency_cycles", "scatter_batch_bytes"}
+	wait := []string{"wait_bank_busy_cycles", "wait_bridge_queue_cycles", "wait_gather_batch_cycles",
+		"wait_host_roundtrip_cycles", "wait_lb_migration_cycles", "wait_retry_backoff_cycles",
+		"wait_slack_cycles", "wait_task_queue_cycles"}
+	designs := []struct {
+		d     config.Design
+		names []string
+	}{
+		{config.DesignC, host}, {config.DesignB, bridges}, {config.DesignW, bridges},
+		{config.DesignO, bridges}, {config.DesignH, nil}, {config.DesignR, host},
+	}
+	modes := []struct {
+		name       string
+		rec        func() *trace.Recorder // nil: metrics only
+		traceFirst bool
+	}{
+		{name: "metrics only"},
+		{name: "events", rec: func() *trace.Recorder { return trace.New(0) }},
+		{name: "flows, trace attached first", traceFirst: true,
+			rec: func() *trace.Recorder { r := trace.New(0); r.EnableFlows(0); return r }},
+	}
+	for _, dc := range designs {
+		for _, m := range modes {
+			t.Run(dc.d.String()+"/"+m.name, func(t *testing.T) {
+				sys, err := New(testCfg(dc.d))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := metrics.NewRegistry()
+				if m.rec != nil && m.traceFirst {
+					sys.AttachTrace(m.rec())
+				}
+				sys.AttachMetrics(reg)
+				if m.rec != nil && !m.traceFirst {
+					sys.AttachTrace(m.rec())
+				}
+				if _, err := sys.Run(&spill{epochs: 2, tasks: 100, chain: 2}); err != nil {
+					t.Fatal(err)
+				}
+				want := slices.Concat(tasks, dc.names)
+				if m.rec != nil {
+					want = slices.Concat(want, wait)
+				}
+				slices.Sort(want)
+				if got := reg.HistogramNames(); !slices.Equal(got, want) {
+					t.Errorf("histograms %q, want %q", got, want)
+				}
+			})
+		}
 	}
 }

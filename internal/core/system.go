@@ -316,8 +316,7 @@ func (s *System) closeEpoch() {
 // the trace.
 func (s *System) openEpoch(n uint32) {
 	now := s.eng.Now()
-	s.rec.Record(trace.KindEpoch, -1, now, now, fmt.Sprintf("epoch %d", n))
-	s.rec.EpochMark(n, now)
+	s.rec.Epoch(n, now)
 	s.epoch = n
 	s.epochStart = now
 }
@@ -370,15 +369,10 @@ func (s *System) Rand() *sim.RNG { return s.rng }
 // MaxEvents returns the event budget (for progress/ETA reporting).
 func (s *System) MaxEvents() uint64 { return s.maxEvents }
 
-// AttachTrace installs an activity recorder. Attach before Run. If a metrics
-// registry is already attached, the recorder's per-category wait histograms
-// bind to it (and vice versa in AttachMetrics — attachment order is free).
-func (s *System) AttachTrace(r *trace.Recorder) {
-	s.rec = r
-	if s.met != nil {
-		r.BindMetrics(s.met)
-	}
-}
+// AttachTrace installs the run's observation stream. Attach before Run;
+// attachment order with AttachMetrics is free, because Run binds the
+// recorder's histograms when it starts.
+func (s *System) AttachTrace(r *trace.Recorder) { s.rec = r }
 
 // MsgPool returns the run's shared message pool (ndpunit.Env).
 func (s *System) MsgPool() *msg.Pool { return s.pool }
@@ -394,24 +388,23 @@ func (s *System) SetCompatEventCore(on bool) {
 	}
 }
 
-// Trace returns the attached recorder (nil when tracing is off).
+// Trace returns the observation stream: the attached recorder, the zero
+// recorder Run installs for a metrics-only run, or nil when nothing
+// observes the run.
 func (s *System) Trace() *trace.Recorder { return s.rec }
 
-// AttachMetrics installs a metrics registry: it binds every component's
+// AttachMetrics installs a metrics registry: it binds the fabric components'
 // histograms and registers the system-level gauges the cycle sampler
 // snapshots (mailbox occupancy, ready-queue depth, in-flight messages,
-// bridge-buffer backlog); counters are exported from component stats when
-// Run ends. Attach before Run; a nil registry is a no-op.
+// bridge-buffer backlog); the latency histograms bind to the trace recorder
+// when Run starts, and counters are exported from component stats when Run
+// ends. Attach before Run; a nil registry is a no-op.
 func (s *System) AttachMetrics(reg *metrics.Registry) {
 	s.met = reg
 	if reg == nil {
 		return
 	}
-	s.rec.BindMetrics(reg)
 	s.mEpoch = reg.Histogram("epoch_cycles")
-	for _, u := range s.units {
-		u.BindMetrics(reg)
-	}
 	for _, b := range s.bridges {
 		b.BindMetrics(reg)
 	}
@@ -420,9 +413,6 @@ func (s *System) AttachMetrics(reg *metrics.Registry) {
 	}
 	if s.fwd != nil {
 		s.fwd.BindMetrics(reg)
-	}
-	if s.exec != nil {
-		s.exec.BindMetrics(reg)
 	}
 
 	reg.Gauge("inflight_msgs", func() uint64 { return s.inflight })
@@ -509,6 +499,12 @@ func (s *System) Run(app App) (*stats.Result, error) {
 		return nil, fmt.Errorf("core: %s seeded no work", app.Name())
 	}
 	s.ran = true
+	if s.rec == nil && s.met != nil {
+		// A metrics-only run feeds its latency histograms through a
+		// recorder that keeps no events or spans.
+		s.rec = &trace.Recorder{}
+	}
+	s.rec.BindMetrics(s.met, len(s.units) > 0)
 	// The first epoch starts at the clock edge; later boundaries come from
 	// checkAdvance.
 	s.openEpoch(0)

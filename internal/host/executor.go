@@ -2,11 +2,9 @@ package host
 
 import (
 	"ndpbridge/internal/config"
-	"ndpbridge/internal/metrics"
 	"ndpbridge/internal/ndpunit"
 	"ndpbridge/internal/sim"
 	"ndpbridge/internal/task"
-	"ndpbridge/internal/trace"
 )
 
 // ExecEnv extends Env with the task runtime hooks the executor needs.
@@ -53,18 +51,6 @@ type Executor struct {
 	// each run draws the same deterministic sequence regardless of what
 	// other Systems in the process are doing.
 	rng *sim.RNG
-
-	// Instruments, bound by BindMetrics; nil no-ops when metrics are off.
-	// The names match the NDP units' so design-H runs populate the same
-	// latency histograms the rest of the stack does.
-	mTaskLat  *metrics.Histogram
-	mTaskExec *metrics.Histogram
-}
-
-// BindMetrics attaches the executor's instruments to reg.
-func (e *Executor) BindMetrics(reg *metrics.Registry) {
-	e.mTaskLat = reg.Histogram("task_latency_cycles")
-	e.mTaskExec = reg.Histogram("task_exec_cycles")
 }
 
 // QueueLen returns the number of tasks waiting in the shared pool, for the
@@ -152,31 +138,19 @@ func (e *Executor) tryStart(c int) {
 	e.busy[c] = true
 	eng := e.eng
 	now := eng.Now()
+	rec := e.env.Trace()
 	// A freed core can pop a task slightly before its logical spawn cursor
 	// (the queue is shared); clamp those to zero queueing latency.
-	lat := uint64(0)
-	if now > t.SpawnedAt {
-		lat = now - t.SpawnedAt
-	}
-	e.mTaskLat.Observe(lat)
-	rec := e.env.Trace()
-	var execSpan uint32
-	if rec.FlowsEnabled() {
-		flow, enq := rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
-		q := rec.Span(flow, t.Span, trace.SpanQueued, trace.CatTaskQueue, c, enq, uint64(now))
-		execSpan = rec.OpenSpan(flow, q, trace.SpanExec, trace.CatBankBusy, c, uint64(now))
-	}
+	execSpan := rec.TaskStart(t.Span, t.ID, min(t.SpawnedAt, now), c, now)
 	e.ctxs[c] = hostCtx{e: e, start: now, cursor: now + e.cfg.Host.DispatchCost, span: execSpan}
 	e.env.Registry().Handler(t.Func)(&e.ctxs[c], t)
 	end := e.ctxs[c].cursor
 	if end <= now {
 		end = now + 1
 	}
-	rec.CloseSpan(execSpan, uint64(end))
-	e.mTaskExec.Observe(end - now)
 	e.busyCycles[c] += end - now
 	e.tasks[c]++
-	rec.Record(trace.KindTask, c, uint64(now), uint64(end), e.env.Registry().Name(t.Func))
+	rec.TaskEnd(execSpan, c, now, end, e.env.Registry().Name(t.Func))
 	e.curTS[c] = t.TS
 	eng.At(end, e.doneFns[c])
 }

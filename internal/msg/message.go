@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"ndpbridge/internal/task"
+	"ndpbridge/internal/trace"
 )
 
 // Type distinguishes the three message kinds.
@@ -105,7 +106,7 @@ type Message struct {
 	// Flow/Span/HopAt carry causal-trace identity while flow tracing is on:
 	// the flow the message belongs to, the 1-based trace-span ID of the hop
 	// that produced it (its causal parent), and the cycle its current hop
-	// began (zero until the first hop completes — see HopStart). Simulator
+	// began (zero until the first leg ends — see Hop). Simulator
 	// measurement metadata like StagedAt — never part of the wire format,
 	// the checksum, or snapshots; all-zero when tracing is off.
 	Flow  uint64
@@ -165,15 +166,30 @@ func (m *Message) Size() uint64 {
 	return HeaderSize
 }
 
-// HopStart returns the cycle the message's current hop began: HopAt once a
-// hop span has been recorded, else the staging cycle. Keeping the first-hop
-// stamp implicit (rather than storing HopAt at emit time) keeps the hot
-// staging path free of trace code.
-func (m *Message) HopStart() uint64 {
-	if m.HopAt == 0 {
-		return m.StagedAt
+// Hop records the message leg that ends at now as one causal span of kind k
+// at actor, chained to the span that produced the message, and advances the
+// message to the next leg. The first leg began when the sender staged the
+// message, and a task message joins its task's flow there: until then Span
+// still names the task's parent span. Load-balancing traffic (scheduled-out
+// or round-tagged) bills lb-migration; every other leg bills fabric, the
+// category of the fabric that carried it. A nil or flow-disabled recorder
+// changes nothing.
+func (m *Message) Hop(rec *trace.Recorder, k trace.SpanKind, fabric trace.Category, actor int, now uint64) {
+	if !rec.FlowsEnabled() {
+		return
 	}
-	return m.HopAt
+	start := m.HopAt
+	if start == 0 {
+		start = m.StagedAt
+		if m.Type == TypeTask {
+			m.Flow = rec.TaskFlow(m.Span, m.Task.ID)
+		}
+	}
+	if m.Sched || m.Round != 0 {
+		fabric = trace.CatLBMigration
+	}
+	m.Span = rec.Span(m.Flow, m.Span, k, fabric, actor, start, now)
+	m.HopAt = now
 }
 
 // RouteAddr returns the address the bridges route on: the data element

@@ -117,8 +117,8 @@ func (p *Pool) NewTaskIn(src, dst int, t task.Task) *Message {
 	m.Src = src
 	m.Dst = dst
 	m.Task = t
-	// The hop-chain parent is the task's causal parent; the flow is stamped
-	// by the caller when tracing is on (the pool has no recorder access).
+	// The hop-chain parent is the task's causal parent; the message joins
+	// the task's flow at its first leg (Hop).
 	m.Span = t.Span
 	return m
 }

@@ -153,15 +153,13 @@ func (r *Retrans) resend(i int) {
 	e := &r.entries[i]
 	if r.trc != nil {
 		if rec := r.trc(); rec.FlowsEnabled() {
-			// The span covers the round-trip that just failed: from the
-			// send whose ack window expired (deadline − rto) to now. A
-			// nack-triggered resend has a future deadline; clamp to now.
+			// The span covers the wait since the message's last leg (or
+			// previous retry) ended. The tracked copy advances to it, so
+			// the clone's next leg — and any later retry — chains from
+			// here and the wait is billed to retry-backoff.
 			now := uint64(r.eng.Now())
-			last := now
-			if d := uint64(e.deadline); d <= now && d >= uint64(e.rto) {
-				last = d - uint64(e.rto)
-			}
-			rec.Span(e.m.Flow, e.m.Span, trace.SpanRetx, trace.CatRetry, r.trcActor, last, now)
+			e.m.Span = rec.Span(e.m.Flow, e.m.Span, trace.SpanRetx, trace.CatRetry, r.trcActor, e.m.HopAt, now)
+			e.m.HopAt = now
 		}
 	}
 	e.rto *= 2

@@ -19,7 +19,6 @@ import (
 	"ndpbridge/internal/dram"
 	"ndpbridge/internal/mailbox"
 	"ndpbridge/internal/metadata"
-	"ndpbridge/internal/metrics"
 	"ndpbridge/internal/msg"
 	"ndpbridge/internal/sim"
 	"ndpbridge/internal/sketch"
@@ -154,28 +153,12 @@ type Unit struct {
 
 	st stats.Unit
 
-	// Instruments, bound by BindMetrics; nil (single-branch no-ops) when
-	// metrics are off.
-	mTaskLat  *metrics.Histogram // spawn → execution-start latency
-	mTaskExec *metrics.Histogram // execution duration
-	mMsgLat   *metrics.Histogram // staging → delivery latency
-
 	hits64     uint64 // SRAM access approximation counter
 	lastBounce uint64 // most recent bounced task address, for diagnostics
 
 	// ft is the fault-injection state; nil (the common case) keeps every
 	// fault hook a single-branch no-op.
 	ft *faultState
-}
-
-// BindMetrics attaches the unit's instruments to reg. All units of one run
-// bind the same named instruments, so each histogram describes the
-// system-wide distribution. A nil registry leaves the instruments nil, which
-// keeps every observation a single-branch no-op.
-func (u *Unit) BindMetrics(reg *metrics.Registry) {
-	u.mTaskLat = reg.Histogram("task_latency_cycles")
-	u.mTaskExec = reg.Histogram("task_exec_cycles")
-	u.mMsgLat = reg.Histogram("msg_latency_cycles")
 }
 
 // QueueLen returns the number of tasks waiting in the unit's queues (main
@@ -418,18 +401,8 @@ func (u *Unit) tryStart() {
 func (u *Unit) runTask(t task.Task, eng *sim.Engine, epj float64) {
 	u.running = true
 	now := eng.Now()
-	if t.SpawnedAt <= now {
-		u.mTaskLat.Observe(now - t.SpawnedAt)
-	}
-	// Causal spans: the closed queue-wait span, then an open execution span
-	// children can reference as their parent; closed once the cursor lands.
 	rec := u.env.Trace()
-	var execSpan uint32
-	if rec.FlowsEnabled() {
-		flow, enq := rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
-		q := rec.Span(flow, t.Span, trace.SpanQueued, trace.CatTaskQueue, u.id, enq, now)
-		execSpan = rec.OpenSpan(flow, q, trace.SpanExec, trace.CatBankBusy, u.id, now)
-	}
+	execSpan := rec.TaskStart(t.Span, t.ID, t.SpawnedAt, u.id, now)
 	// Task queue pop: one DRAM record read. The execution context is reused
 	// across tasks — handlers run synchronously and never retain it.
 	cursor := u.bank.Access(now, u.queueOff, taskRecordBytes, false, dram.AccessLocal, epj)
@@ -439,8 +412,6 @@ func (u *Unit) runTask(t task.Task, eng *sim.Engine, epj float64) {
 	if end <= now {
 		end = now + 1
 	}
-	rec.CloseSpan(execSpan, end)
-	u.mTaskExec.Observe(end - now)
 	u.st.Busy += end - now
 	u.st.Tasks++
 	u.finishedWorkload += t.EffectiveWorkload()
@@ -451,7 +422,7 @@ func (u *Unit) runTask(t task.Task, eng *sim.Engine, epj float64) {
 		u.ft.cur = &tc
 		u.ft.curBusy = end - now
 	}
-	u.env.Trace().Record(trace.KindTask, u.id, now, end, u.env.Registry().Name(t.Func))
+	rec.TaskEnd(execSpan, u.id, now, end, u.env.Registry().Name(t.Func))
 	// One task is in flight at a time (u.running), so the completion event
 	// is the pre-bound taskDone reading the epoch shadowed in curTS.
 	u.curTS = t.TS
@@ -483,9 +454,6 @@ func (u *Unit) taskDone() {
 func (u *Unit) taskMessage(t task.Task, escalate bool) *msg.Message {
 	m := u.pool.NewTaskIn(u.id, u.env.Map().Home(t.Addr), t)
 	m.Escalate = escalate
-	if rec := u.env.Trace(); rec.FlowsEnabled() {
-		m.Flow, _ = rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
-	}
 	return m
 }
 
@@ -497,14 +465,11 @@ func (u *Unit) emit(m *msg.Message) {
 	u.staged = append(u.staged, m)
 }
 
-// hopCat picks the attribution category for a message hop at this unit:
-// load-balancing traffic bills migration; designs whose fabric is the host
-// (C, R's cross-chip path, H) bill the host round-trip; bridge designs bill
-// gather/scatter batching delay.
-func (u *Unit) hopCat(m *msg.Message) trace.Category {
-	if m.Sched || m.Round != 0 {
-		return trace.CatLBMigration
-	}
+// fabricCat is the category a message leg at this unit bills unless it is
+// load-balancing traffic (msg.(*Message).Hop applies that rule): bridge
+// designs bill gather/scatter batching delay; designs whose fabric is the
+// host (C, R's cross-chip path) bill the host round-trip.
+func (u *Unit) fabricCat() trace.Category {
 	if u.cfg.Design.UsesBridges() {
 		return trace.CatGatherBatch
 	}
@@ -552,17 +517,14 @@ func (u *Unit) DrainChipMail(budget uint64) []*msg.Message {
 	}
 	ms := u.chipMail.DrainUpTo(budget)
 	if len(ms) > 0 {
-		if rec := u.env.Trace(); rec.FlowsEnabled() {
-			now := u.eng.Now()
-			for _, m := range ms {
-				// Intra-chip RowClone pickup: batching delay, like a
-				// bridge gather.
-				m.Span = rec.Span(m.Flow, m.Span, trace.SpanMailbox, trace.CatGatherBatch, u.id, m.HopStart(), now)
-				m.HopAt = now
-			}
+		rec, now := u.env.Trace(), u.eng.Now()
+		for _, m := range ms {
+			// Intra-chip RowClone pickup: batching delay, like a bridge
+			// gather.
+			m.Hop(rec, trace.SpanMailbox, trace.CatGatherBatch, u.id, now)
 		}
 		epj := u.cfg.Energy.DRAMAccessPJPer64b
-		u.bank.Access(u.eng.Now(), u.mailboxOff, msg.TotalSize(ms), false, dram.AccessComm, epj)
+		u.bank.Access(now, u.mailboxOff, msg.TotalSize(ms), false, dram.AccessComm, epj)
 		if len(u.staged) > 0 && u.flushStaged() {
 			u.tryStart()
 		}
@@ -597,14 +559,10 @@ func (u *Unit) DrainMailbox(budget uint64) ([]*msg.Message, sim.Cycles) {
 	if len(ms) == 0 {
 		return nil, now
 	}
-	if rec := u.env.Trace(); rec.FlowsEnabled() {
-		// One mailbox-wait span per message: staged → picked up by this
-		// gather. The message's span/hop stamps advance to this hop so the
-		// next leg chains causally.
-		for _, m := range ms {
-			m.Span = rec.Span(m.Flow, m.Span, trace.SpanMailbox, u.hopCat(m), u.id, m.HopStart(), now)
-			m.HopAt = now
-		}
+	// One mailbox-wait span per message: staged → picked up by this gather.
+	rec, fabric := u.env.Trace(), u.fabricCat()
+	for _, m := range ms {
+		m.Hop(rec, trace.SpanMailbox, fabric, u.id, now)
 	}
 	if u.ft != nil && u.ft.gatherRet != nil {
 		// Stamp each message with a gather-hop sequence number and
@@ -767,17 +725,11 @@ func (u *Unit) receive(m *msg.Message) {
 	}
 	u.st.MsgsIn++
 	u.env.MsgDelivered()
-	now := uint64(u.eng.Now())
+	now := u.eng.Now()
 	rec := u.env.Trace()
-	rec.Record(trace.KindDeliver, u.id, now, now, "")
-	if rec.FlowsEnabled() {
-		// Final in-flight leg: last hop handoff → bank commit here.
-		m.Span = rec.Span(m.Flow, m.Span, trace.SpanDeliver, u.hopCat(m), u.id, m.HopStart(), now)
-		m.HopAt = now
-	}
-	if m.StagedAt <= now {
-		u.mMsgLat.Observe(now - m.StagedAt)
-	}
+	rec.Delivered(u.id, m.StagedAt, now)
+	// Final in-flight leg: last hop handoff → bank commit here.
+	m.Hop(rec, trace.SpanDeliver, u.fabricCat(), u.id, now)
 	switch m.Type {
 	case msg.TypeTask:
 		t := m.Task
@@ -989,8 +941,11 @@ func (u *Unit) CommandSchedule(budget uint64, round uint32) {
 			}
 			// Only blocks currently resident at home can be lent:
 			// borrowed blocks and blocks already lent out are
-			// requeued (their tasks will bounce to the holder).
-			if u.env.Map().Home(e.Addr) != u.id || u.isLent.Lent(u.env.Map().Offset(e.Addr)) {
+			// requeued (their tasks will bounce to the holder). An
+			// adopted (re-homed) block is not lendable either: the
+			// isLent bit at its offset is this unit's own block's, and
+			// the return path clears it only at the raw home.
+			if u.env.Map().HomeRaw(e.Addr) != u.id || u.isLent.Lent(u.env.Map().Offset(e.Addr)) {
 				for _, t := range tasks {
 					u.queue.Push(t)
 				}
@@ -1016,7 +971,7 @@ func (u *Unit) CommandSchedule(budget uint64, round uint32) {
 				break
 			}
 			blk := u.block(t.Addr)
-			if u.env.Map().Home(blk) != u.id || u.isLent.Lent(u.env.Map().Offset(blk)) {
+			if u.env.Map().HomeRaw(blk) != u.id || u.isLent.Lent(u.env.Map().Offset(blk)) {
 				skipped = append(skipped, t)
 				continue
 			}
@@ -1057,9 +1012,6 @@ func (u *Unit) CommandSchedule(budget uint64, round uint32) {
 			tm := u.pool.NewTaskIn(u.id, -1, t)
 			tm.Sched = true
 			tm.Round = round
-			if rec := u.env.Trace(); rec.FlowsEnabled() {
-				tm.Flow, _ = rec.TaskOrigin(t.Span, t.ID, t.SpawnedAt)
-			}
 			u.emit(tm)
 		}
 		u.schedOut = append(u.schedOut, msg.SchedOut{BlockAddr: s.blk, Workload: s.w})

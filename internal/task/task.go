@@ -32,7 +32,7 @@ type Task struct {
 	// Span is the 1-based trace-span ID of this task's causal parent while
 	// flow tracing is on (zero otherwise, and for flow roots). The flow and
 	// queue-entry cycle are derived from the parent record at pickup
-	// (trace.Recorder.TaskOrigin), so this one uint32 — packed into what
+	// (trace.Recorder.TaskStart), so this one uint32 — packed into what
 	// would otherwise be padding — is the task's whole trace footprint and
 	// the struct stays a single 64-byte cache line. Simulator measurement
 	// metadata; never part of the wire format or snapshots.

@@ -2,20 +2,18 @@
 // *flows*: causal chains that follow a root task (or a migrated data block)
 // through every hop of the unit → L1 bridge → L2 bridge → host path. Each hop
 // is a Span carrying the flow ID, a link to its parent span, a kind (what the
-// flow was doing) and a category (who gets billed for the time). Spans feed
-// the Perfetto flow-arrow export (FlowTrace) and the critical-path analysis
-// (CritPath). Span recording is off by default — EnableFlows switches it on —
-// and every method is a no-op on a nil or flow-disabled recorder, so hot call
-// sites stay allocation-free when tracing is off.
+// flow was doing) and a category (who gets billed for the time). A task's
+// spans come from TaskStart/TaskEnd, a message's from msg.(*Message).Hop.
+// Spans feed the Perfetto flow arrows (FlowTrace) and the critical-path
+// analysis (CritPath). Span recording is off by default — EnableFlows
+// switches it on — and every method is a no-op on a nil or flow-disabled
+// recorder, so hot call sites stay allocation-free when tracing is off.
 package trace
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
-
-	"ndpbridge/internal/metrics"
 )
 
 // SpanKind says what the flow was doing during the span.
@@ -132,8 +130,7 @@ func (r *Recorder) EnableFlows(capacity int) {
 	r.spanCap = capacity
 }
 
-// FlowsEnabled reports whether causal span recording is on. Call sites use
-// it to skip per-message instrumentation loops entirely when flows are off.
+// FlowsEnabled reports whether causal span recording is on.
 func (r *Recorder) FlowsEnabled() bool { return r != nil && r.flows }
 
 // NewFlow issues a fresh flow ID for roots that are not tasks (migrated
@@ -169,13 +166,10 @@ func (r *Recorder) Span(flow uint64, parent uint32, k SpanKind, cat Category, ac
 	return uint32(len(r.spans))
 }
 
-// OpenSpan records a span whose end is not yet known (End == Start until
-// CloseSpan). Children spawned mid-span can already reference the returned
+// openSpan records a span whose end is not yet known (End == Start until
+// closeSpan). Children spawned mid-span can already reference the returned
 // ID as their parent.
-func (r *Recorder) OpenSpan(flow uint64, parent uint32, k SpanKind, cat Category, actor int, start uint64) uint32 {
-	if r == nil || !r.flows {
-		return 0
-	}
+func (r *Recorder) openSpan(flow uint64, parent uint32, k SpanKind, cat Category, actor int, start uint64) uint32 {
 	if len(r.spans) >= r.spanCap {
 		r.spanDrops++
 		return 0
@@ -187,30 +181,10 @@ func (r *Recorder) OpenSpan(flow uint64, parent uint32, k SpanKind, cat Category
 	return uint32(len(r.spans))
 }
 
-// TaskOrigin resolves the flow and queue-entry cycle of a task about to
-// execute from its causal parent span. Tasks carry only the parent span ID
-// (one uint32 — keeping the Task struct a single cache line); the flow is
-// read back from the parent record, which is always closed by pickup time:
-// exec spans close synchronously with the spawning handler, hop spans close
-// at record time. A parentless task is a flow root keyed by its own ID.
-// Exec-span parents mean a locally-spawned child, whose queue wait began at
-// its spawn cycle; any other parent is a delivery hop, whose End is the
-// moment the task entered this queue.
-func (r *Recorder) TaskOrigin(span uint32, id, spawnedAt uint64) (flow, enq uint64) {
-	if r == nil || !r.flows || span == 0 || int(span) > len(r.spans) {
-		return id, spawnedAt
-	}
-	sp := r.spans[span-1]
-	if sp.Kind == SpanExec {
-		return sp.Flow, spawnedAt
-	}
-	return sp.Flow, sp.End
-}
-
-// CloseSpan sets the end of a span opened with OpenSpan and bills its
+// closeSpan sets the end of a span opened with openSpan and bills its
 // duration to the span's category histogram.
-func (r *Recorder) CloseSpan(id uint32, end uint64) {
-	if r == nil || id == 0 || int(id) > len(r.spans) {
+func (r *Recorder) closeSpan(id uint32, end uint64) {
+	if id == 0 || int(id) > len(r.spans) {
 		return
 	}
 	sp := &r.spans[id-1]
@@ -221,13 +195,31 @@ func (r *Recorder) CloseSpan(id uint32, end uint64) {
 	r.catHist[sp.Cat].Observe(end - sp.Start)
 }
 
-// EpochMark records that epoch n began at cycle at. Marks arrive in time
-// order (the barrier fires them) and bound the per-epoch attribution.
-func (r *Recorder) EpochMark(n uint32, at uint64) {
-	if r == nil || !r.flows {
-		return
+// taskOrigin resolves the flow and queue-entry cycle of a task whose causal
+// parent is span. Tasks carry only the parent span ID (one uint32 — keeping
+// the Task struct a single cache line); the flow is read back from the parent
+// record, which is always closed by pickup time: exec spans close
+// synchronously with the spawning handler, hop spans close at record time. A
+// parentless task is a flow root keyed by its own ID. Exec-span parents mean
+// a locally-spawned child, whose queue wait began at its spawn cycle; any
+// other parent is a delivery hop, whose End is the moment the task entered
+// this queue.
+func (r *Recorder) taskOrigin(span uint32, id, spawnedAt uint64) (flow, enq uint64) {
+	if r == nil || span == 0 || int(span) > len(r.spans) {
+		return id, spawnedAt
 	}
-	r.epochs = append(r.epochs, EpochMark{N: n, At: at})
+	sp := r.spans[span-1]
+	if sp.Kind == SpanExec {
+		return sp.Flow, spawnedAt
+	}
+	return sp.Flow, sp.End
+}
+
+// TaskFlow returns the flow of the task with ID id whose causal parent is
+// span: a task message joins it at its first leg (msg.(*Message).Hop).
+func (r *Recorder) TaskFlow(span uint32, id uint64) uint64 {
+	flow, _ := r.taskOrigin(span, id, 0)
+	return flow
 }
 
 // Spans returns the retained spans (do not modify).
@@ -262,25 +254,15 @@ func (r *Recorder) Epochs() []EpochMark {
 	return r.epochs
 }
 
-// BindMetrics attaches one wait-time histogram per attribution category
-// (wait_<category>_cycles) so span durations also feed the instrument
-// registry. Nil-safe on both sides.
-func (r *Recorder) BindMetrics(reg *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	for c := 0; c < NumCategories; c++ {
-		name := "wait_" + strings.ReplaceAll(categoryNames[c], "-", "_") + "_cycles"
-		r.catHist[c] = reg.Histogram(name)
-	}
-}
-
-// FlowTrace writes a Chrome/Perfetto trace JSON array holding the interval
+// FlowTrace writes the run's Chrome/Perfetto trace JSON array: the activity
 // events, the causal spans, and one flow arrow ("s"/"f" event pair) per
 // parent→child span edge, so Perfetto renders the unit→bridge→host chains
-// as connected arrows. The leading metadata record carries retained/dropped
-// counts for both events and spans. A nil recorder writes a valid trace
-// holding only that record.
+// as connected arrows. Units appear as thread lanes; cycle timestamps are
+// emitted as microseconds so the viewer's time axis reads directly in
+// cycles. The leading metadata record carries retained/dropped counts for
+// both events and spans, so a consumer can tell a complete capture from one
+// truncated at a cap. A nil recorder writes a valid trace holding only that
+// record.
 func (r *Recorder) FlowTrace(w io.Writer) error {
 	capacity, spanCap := 0, 0
 	if r != nil {
@@ -292,8 +274,20 @@ func (r *Recorder) FlowTrace(w io.Writer) error {
 		r.Len(), r.Dropped(), capacity, r.SpanCount(), r.DroppedSpans(), spanCap); err != nil {
 		return err
 	}
-	if err := r.writeEventBody(bw); err != nil {
-		return err
+	for _, e := range r.Events() {
+		dur := e.End - e.Start
+		if dur == 0 {
+			dur = 1
+		}
+		name := e.Label
+		if name == "" {
+			name = e.Kind.String()
+		}
+		if _, err := fmt.Fprintf(bw,
+			",\n"+`  {"name":%q,"cat":%q,"ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d}`,
+			name, e.Kind, e.Start, dur, e.Actor+1); err != nil {
+			return err
+		}
 	}
 	spans := r.Spans()
 	for i, sp := range spans {

@@ -19,11 +19,16 @@ func TestNilRecorderSpansSafe(t *testing.T) {
 	if id := r.Span(1, 0, SpanExec, CatBankBusy, 0, 0, 10); id != 0 {
 		t.Errorf("nil recorder Span = %d, want 0", id)
 	}
-	if id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 0); id != 0 {
-		t.Errorf("nil recorder OpenSpan = %d, want 0", id)
+	if id := r.TaskStart(0, 1, 0, 0, 0); id != 0 {
+		t.Errorf("nil recorder TaskStart = %d, want 0", id)
 	}
-	r.CloseSpan(1, 5)
-	r.EpochMark(0, 0)
+	r.TaskEnd(1, 0, 0, 5, "x")
+	r.Delivered(0, 0, 5)
+	r.Epoch(0, 0)
+	r.BindMetrics(metrics.NewRegistry(), true)
+	if r.TaskFlow(3, 7) != 7 {
+		t.Error("nil recorder TaskFlow must key a root task by its ID")
+	}
 	if r.NewFlow() != 0 || r.SpanCount() != 0 || r.DroppedSpans() != 0 {
 		t.Error("nil recorder span state must be inert")
 	}
@@ -40,7 +45,10 @@ func TestFlowsDisabledNoops(t *testing.T) {
 	if id := r.Span(1, 0, SpanExec, CatBankBusy, 0, 0, 10); id != 0 {
 		t.Errorf("disabled Span = %d, want 0", id)
 	}
-	r.EpochMark(0, 0)
+	if id := r.TaskStart(0, 1, 0, 0, 0); id != 0 {
+		t.Errorf("disabled TaskStart = %d, want 0", id)
+	}
+	r.Epoch(0, 0)
 	if r.SpanCount() != 0 || len(r.Epochs()) != 0 {
 		t.Error("disabled recorder retained span state")
 	}
@@ -65,19 +73,19 @@ func TestSpanCapAndDrops(t *testing.T) {
 	if last != 0 {
 		t.Errorf("dropped span returned id %d, want 0 (a valid root parent)", last)
 	}
-	// OpenSpan drops past the cap too.
-	if id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 9); id != 0 {
-		t.Errorf("OpenSpan past cap = %d, want 0", id)
+	// TaskStart's queue and execution spans drop past the cap too.
+	if id := r.TaskStart(0, 1, 9, 0, 9); id != 0 {
+		t.Errorf("TaskStart past cap = %d, want 0", id)
 	}
-	if r.DroppedSpans() != 3 {
-		t.Errorf("DroppedSpans = %d, want 3", r.DroppedSpans())
+	if r.DroppedSpans() != 4 {
+		t.Errorf("DroppedSpans = %d, want 4", r.DroppedSpans())
 	}
 	// The drop counts surface in the FlowTrace metadata record.
 	var buf bytes.Buffer
 	if err := r.FlowTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"spans":3,"spans_dropped":3`) {
+	if !strings.Contains(buf.String(), `"spans":3,"spans_dropped":4`) {
 		t.Errorf("metadata missing span drop counts:\n%s", buf.String())
 	}
 }
@@ -90,14 +98,14 @@ func TestSpanClampsReversedInterval(t *testing.T) {
 	if sp.Start != 20 || sp.End != 20 {
 		t.Errorf("reversed span = [%d,%d], want clamped to [20,20]", sp.Start, sp.End)
 	}
-	id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 30)
-	r.CloseSpan(id, 10) // close before open: clamp to zero length
-	sp = r.Spans()[1]
+	id := r.TaskStart(0, 1, 30, 0, 30)
+	r.TaskEnd(id, 0, 30, 10, "") // end before start: clamp to zero length
+	sp = r.Spans()[id-1]
 	if sp.Start != 30 || sp.End != 30 {
 		t.Errorf("reversed close = [%d,%d], want [30,30]", sp.Start, sp.End)
 	}
-	r.CloseSpan(0, 99)   // id 0 = dropped span: no-op
-	r.CloseSpan(999, 99) // out of range: no-op
+	r.TaskEnd(0, 0, 0, 99, "")   // id 0 = dropped span: no-op
+	r.TaskEnd(999, 0, 0, 99, "") // out of range: no-op
 }
 
 func TestNewFlowDisjointFromTaskIDs(t *testing.T) {
@@ -117,9 +125,8 @@ func TestFlowTraceIsValidJSON(t *testing.T) {
 	r.EnableFlows(10)
 	r.Record(KindTask, 0, 0, 10, `label "quoted" \ and
 control`)
-	root := r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 5)
-	exec := r.OpenSpan(1, root, SpanExec, CatBankBusy, 0, 5)
-	r.CloseSpan(exec, 20)
+	exec := r.TaskStart(0, 1, 0, 0, 5)
+	r.TaskEnd(exec, 0, 5, 20, "")
 	r.Span(1, exec, SpanMailbox, CatGatherBatch, 1, 20, 30)
 	var buf bytes.Buffer
 	if err := r.FlowTrace(&buf); err != nil {
@@ -173,10 +180,9 @@ func TestBindMetricsFeedsCategoryHistograms(t *testing.T) {
 	r := New(10)
 	r.EnableFlows(10)
 	reg := metrics.NewRegistry()
-	r.BindMetrics(reg)
-	r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 40)
-	id := r.OpenSpan(1, 0, SpanExec, CatBankBusy, 0, 40)
-	r.CloseSpan(id, 100)
+	r.BindMetrics(reg, true)
+	id := r.TaskStart(0, 1, 0, 0, 40)
+	r.TaskEnd(id, 0, 40, 100, "")
 	if n := reg.FindHistogram("wait_task_queue_cycles").Count(); n != 1 {
 		t.Errorf("wait_task_queue_cycles count = %d, want 1", n)
 	}
@@ -192,7 +198,7 @@ func TestBindMetricsFeedsCategoryHistograms(t *testing.T) {
 func TestCritPathSimpleChain(t *testing.T) {
 	r := New(10)
 	r.EnableFlows(10)
-	r.EpochMark(0, 0)
+	r.Epoch(0, 0)
 	// queued [0,10] → exec [10,30] → mailbox [30,70] → exec [70,100]
 	q := r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 10)
 	e1 := r.Span(1, q, SpanExec, CatBankBusy, 0, 10, 30)
@@ -220,7 +226,7 @@ func TestCritPathSimpleChain(t *testing.T) {
 func TestCritPathBillsGapsToSlack(t *testing.T) {
 	r := New(10)
 	r.EnableFlows(10)
-	r.EpochMark(0, 0)
+	r.Epoch(0, 0)
 	// Parent ends at 20, child starts at 50: a 30-cycle causal gap. The
 	// epoch also has a 10-cycle untracked tail (90→100).
 	p := r.Span(1, 0, SpanExec, CatBankBusy, 0, 0, 20)
@@ -235,8 +241,8 @@ func TestCritPathBillsGapsToSlack(t *testing.T) {
 func TestCritPathZeroLengthBarrierSpan(t *testing.T) {
 	r := New(10)
 	r.EnableFlows(10)
-	r.EpochMark(0, 0)
-	r.EpochMark(1, 50)
+	r.Epoch(0, 0)
+	r.Epoch(1, 50)
 	// Real epoch-0 work ending exactly at the barrier.
 	r.Span(1, 0, SpanExec, CatBankBusy, 0, 10, 50)
 	// A zero-length queued span sitting on the barrier (a task seeded and
@@ -263,10 +269,10 @@ func TestCritPathAttributionSumsToMakespan(t *testing.T) {
 		r.EnableFlows(0)
 		makespan := uint64(rng.Intn(5000) + 100)
 		// Epoch marks: 0..4 extra barriers at random cycles (mark 0 always).
-		r.EpochMark(0, 0)
+		r.Epoch(0, 0)
 		nEpochs := rng.Intn(5)
 		for i := 0; i < nEpochs; i++ {
-			r.EpochMark(uint32(i+1), uint64(rng.Intn(int(makespan)+200)))
+			r.Epoch(uint32(i+1), uint64(rng.Intn(int(makespan)+200)))
 		}
 		// Random forest: each span picks any earlier span (or none) as its
 		// parent and a random interval, sometimes zero-length, sometimes
@@ -320,8 +326,8 @@ func TestCritPathRenderDeterministic(t *testing.T) {
 	build := func() string {
 		r := New(10)
 		r.EnableFlows(10)
-		r.EpochMark(0, 0)
-		r.EpochMark(1, 40)
+		r.Epoch(0, 0)
+		r.Epoch(1, 40)
 		a := r.Span(1, 0, SpanQueued, CatTaskQueue, 0, 0, 15)
 		r.Span(1, a, SpanExec, CatBankBusy, 0, 15, 40)
 		r.Span(2, 0, SpanBridgeQ, CatBridgeQueue, 1, 40, 90)

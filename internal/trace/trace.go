@@ -1,15 +1,17 @@
-// Package trace records simulation activity — task executions, message
-// deliveries, communication rounds, and load-balancing decisions — and
-// renders it as a Chrome trace (chrome://tracing / Perfetto JSON), as
-// per-unit utilization timelines, and as activity summaries. Tracing is
-// optional: a nil *Recorder is safe to pass everywhere and costs one branch.
+// Package trace is a run's one observation stream. Components call it once
+// at each pickup and commit point — TaskStart/TaskEnd around a task
+// execution, Delivered at a message's bank commit, Epoch at a barrier, and
+// msg.(*Message).Hop at every message leg — and each call feeds every
+// consumer at once: the task and message latency histograms, the activity
+// events (utilization heatmap, Perfetto timeline) and the causal spans
+// (Perfetto flow arrows, critical path). A nil *Recorder is safe to pass
+// everywhere and costs one branch per call.
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
+	"strings"
 
 	"ndpbridge/internal/metrics"
 )
@@ -54,22 +56,29 @@ type Event struct {
 }
 
 // Recorder accumulates events up to a configurable cap (to bound memory on
-// long runs; the default keeps the first two million events).
+// long runs; the default keeps the first two million events). The zero
+// Recorder keeps no events or spans and counts no drops: it only feeds the
+// histograms bound by BindMetrics, which is how a metrics-only run observes.
 type Recorder struct {
 	events  []Event
 	cap     int
 	dropped uint64
 
 	// Causal flow state (span.go), active only after EnableFlows: spans with
-	// parent links under their own cap, epoch boundary marks, and optional
-	// per-category wait histograms bound by BindMetrics.
+	// parent links under their own cap, and epoch boundary marks.
 	flows     bool
 	spans     []Span
 	spanCap   int
 	spanDrops uint64
 	nextFlow  uint64
 	epochs    []EpochMark
-	catHist   [nCategories]*metrics.Histogram
+
+	// Histograms bound by BindMetrics; nil (single-branch no-ops) when
+	// metrics are off.
+	taskLat  *metrics.Histogram // spawn → execution start
+	taskExec *metrics.Histogram // execution duration
+	msgLat   *metrics.Histogram // staging → bank commit
+	catHist  [nCategories]*metrics.Histogram
 }
 
 // New returns a recorder with the given event capacity (0 = default 2M).
@@ -80,10 +89,92 @@ func New(capacity int) *Recorder {
 	return &Recorder{cap: capacity}
 }
 
-// Record appends an event. Nil receivers are no-ops so call sites need no
-// guards beyond the nil check the compiler inlines.
-func (r *Recorder) Record(k Kind, actor int, start, end uint64, label string) {
+// BindMetrics attaches the histograms the entry points feed: the task
+// queueing and execution latencies, the message delivery latency when the
+// run has NDP units (msgs), and — on a recorder that keeps events or spans —
+// one wait-time histogram per attribution category (wait_<category>_cycles),
+// fed by span durations. A nil registry leaves them nil.
+func (r *Recorder) BindMetrics(reg *metrics.Registry, msgs bool) {
 	if r == nil {
+		return
+	}
+	r.taskLat = reg.Histogram("task_latency_cycles")
+	r.taskExec = reg.Histogram("task_exec_cycles")
+	if msgs {
+		r.msgLat = reg.Histogram("msg_latency_cycles")
+	}
+	if r.cap == 0 && !r.flows {
+		return
+	}
+	for c := 0; c < NumCategories; c++ {
+		name := "wait_" + strings.ReplaceAll(categoryNames[c], "-", "_") + "_cycles"
+		r.catHist[c] = reg.Histogram(name)
+	}
+}
+
+// TaskStart records actor picking up a task at now: the queueing latency
+// since spawnedAt (skipped for a task picked up before it was spawned) and,
+// with flows on, the closed queue-wait span chained to the task's parent
+// span and an open execution span. It returns the execution span's ID (0
+// with flows off), which the task's children take as their parent and
+// TaskEnd closes.
+func (r *Recorder) TaskStart(parent uint32, id, spawnedAt uint64, actor int, now uint64) uint32 {
+	if r == nil {
+		return 0
+	}
+	if spawnedAt <= now {
+		r.taskLat.Observe(now - spawnedAt)
+	}
+	if !r.flows {
+		return 0
+	}
+	flow, enq := r.taskOrigin(parent, id, spawnedAt)
+	q := r.Span(flow, parent, SpanQueued, CatTaskQueue, actor, enq, now)
+	return r.openSpan(flow, q, SpanExec, CatBankBusy, actor, now)
+}
+
+// TaskEnd records the execution TaskStart opened as exec ending at end: it
+// closes the span, samples the execution time and records the KindTask
+// activity event, labelled with the handler's name.
+func (r *Recorder) TaskEnd(exec uint32, actor int, start, end uint64, label string) {
+	if r == nil {
+		return
+	}
+	r.closeSpan(exec, end)
+	r.taskExec.Observe(end - start)
+	r.Record(KindTask, actor, start, end, label)
+}
+
+// Delivered records a message's commit at actor's bank at now: the
+// KindDeliver activity event and the latency since stagedAt (skipped for a
+// message staged after now). The leg that ended here is the message's Hop.
+func (r *Recorder) Delivered(actor int, stagedAt, now uint64) {
+	if r == nil {
+		return
+	}
+	r.Record(KindDeliver, actor, now, now, "")
+	if stagedAt <= now {
+		r.msgLat.Observe(now - stagedAt)
+	}
+}
+
+// Epoch records that epoch n began at now: the KindEpoch activity event and,
+// with flows on, the mark that bounds the epoch's critical-path attribution.
+// Marks arrive in time order (the barrier fires them).
+func (r *Recorder) Epoch(n uint32, now uint64) {
+	if r == nil {
+		return
+	}
+	r.Record(KindEpoch, -1, now, now, fmt.Sprintf("epoch %d", n))
+	if r.flows {
+		r.epochs = append(r.epochs, EpochMark{N: n, At: now})
+	}
+}
+
+// Record appends an event. Nil and zero receivers are no-ops so call sites
+// need no guards beyond the nil check the compiler inlines.
+func (r *Recorder) Record(k Kind, actor int, start, end uint64, label string) {
+	if r == nil || r.cap == 0 {
 		return
 	}
 	if len(r.events) >= r.cap {
@@ -118,53 +209,6 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	return r.events
-}
-
-// ChromeTrace writes the events as a Chrome/Perfetto trace JSON array.
-// Units appear as thread lanes; cycle timestamps are emitted as
-// microseconds so the viewer's time axis reads directly in cycles. The
-// first record is metadata carrying the retained/dropped counts, so a
-// consumer can tell a complete capture from one truncated at the cap.
-// A nil recorder writes a valid trace holding only that record.
-func (r *Recorder) ChromeTrace(w io.Writer) error {
-	capacity := 0
-	if r != nil {
-		capacity = r.cap
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw,
-		`[`+"\n"+`  {"name":"ndpbridge_trace_info","ph":"M","pid":0,"tid":0,"args":{"retained":%d,"dropped":%d,"capacity":%d}}`,
-		r.Len(), r.Dropped(), capacity); err != nil {
-		return err
-	}
-	if err := r.writeEventBody(bw); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeEventBody emits the interval-event records shared by ChromeTrace and
-// FlowTrace (one ",\n  {...}" per event, continuing an open JSON array).
-func (r *Recorder) writeEventBody(bw *bufio.Writer) error {
-	for _, e := range r.Events() {
-		dur := e.End - e.Start
-		if dur == 0 {
-			dur = 1
-		}
-		name := e.Label
-		if name == "" {
-			name = e.Kind.String()
-		}
-		if _, err := fmt.Fprintf(bw,
-			",\n"+`  {"name":%q,"cat":%q,"ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d}`,
-			name, e.Kind, e.Start, dur, e.Actor+1); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Utilization returns, for each actor, the fraction of each of `buckets`

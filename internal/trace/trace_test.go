@@ -39,13 +39,13 @@ func TestRecordClampsReversedInterval(t *testing.T) {
 	}
 }
 
-func TestChromeTraceIsValidJSON(t *testing.T) {
+func TestFlowTraceEventsAreValidJSON(t *testing.T) {
 	r := New(0)
 	r.Record(KindTask, 0, 0, 100, "taskA")
 	r.Record(KindDeliver, 1, 50, 60, "")
 	r.Record(KindEpoch, -1, 100, 100, "barrier")
 	var b strings.Builder
-	if err := r.ChromeTrace(&b); err != nil {
+	if err := r.FlowTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any
@@ -71,13 +71,13 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	}
 }
 
-func TestChromeTraceReportsDrops(t *testing.T) {
+func TestFlowTraceReportsDrops(t *testing.T) {
 	r := New(2)
 	for i := 0; i < 5; i++ {
 		r.Record(KindTask, 0, uint64(i), uint64(i+1), "")
 	}
 	var b strings.Builder
-	if err := r.ChromeTrace(&b); err != nil {
+	if err := r.FlowTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any
@@ -90,10 +90,10 @@ func TestChromeTraceReportsDrops(t *testing.T) {
 	}
 }
 
-func TestChromeTraceNilRecorder(t *testing.T) {
+func TestFlowTraceNilRecorder(t *testing.T) {
 	var r *Recorder
 	var b strings.Builder
-	if err := r.ChromeTrace(&b); err != nil {
+	if err := r.FlowTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any
@@ -101,7 +101,12 @@ func TestChromeTraceNilRecorder(t *testing.T) {
 		t.Fatalf("invalid JSON from nil recorder: %v\n%s", err, b.String())
 	}
 	if len(parsed) != 1 || parsed[0]["name"] != "ndpbridge_trace_info" {
-		t.Errorf("nil recorder trace = %v, want only the metadata record", parsed)
+		t.Fatalf("nil recorder trace = %v, want only the metadata record", parsed)
+	}
+	for k, v := range parsed[0]["args"].(map[string]any) {
+		if v.(float64) != 0 {
+			t.Errorf("nil recorder metadata %s = %v, want 0", k, v)
+		}
 	}
 }
 
